@@ -11,8 +11,6 @@
 //   D. Primary preconditioner sweep: ILU(0)/IC(0) vs SD-AINV vs SSOR vs
 //      Neumann(2) vs Jacobi under fp16-F3R.
 #include "bench_common.hpp"
-#include "precond/neumann.hpp"
-#include "precond/ssor.hpp"
 
 using namespace nk;
 
@@ -21,10 +19,6 @@ int main(int argc, char** argv) {
   auto cfg = bench::parse_bench_options(opt, {"hpcg_5_5_5", "hpgmp_5_5_5", "thermal2"});
   bench::print_header("ablations: IR baseline, dynamic termination, Chebyshev, preconditioners",
                       cfg);
-
-  FlatSolverCaps caps;
-  caps.rtol = cfg.rtol;
-  caps.max_iters = cfg.max_iters;
 
   // --- A + B + C on each matrix ---
   Table t({"matrix", "solver", "outer-its", "M-applies", "time[s]", "conv"});
@@ -36,13 +30,20 @@ int main(int argc, char** argv) {
 
   for (const auto& name : cfg.matrices) {
     auto p = prepare_standin(name, cfg.scale, 7, cfg.use_sell());
-    auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, cfg.nblocks);
+    auto m = registry().make_precond(
+        PrecondSpec::parse("bj;nblocks=" + std::to_string(cfg.nblocks)), p);
+    auto solve = [&](const std::string& spec) {
+      return Session(borrow_problem(p), cfg.spec(spec), m).solve();
+    };
+    auto solve_nested = [&](NestedConfig nc) {
+      return Session(borrow_problem(p), std::move(nc), f3r_termination(cfg.rtol), m).solve();
+    };
 
-    row(name, run_nested(p, m, f3r_config(Prec::FP16), f3r_termination(cfg.rtol)));
+    row(name, solve("f3r@fp16"));
 
     // A: conventional iterative refinement baselines.
-    row(name, run_ir_gmres(p, *m, Prec::FP32, 8, caps));
-    row(name, run_ir_gmres(p, *m, Prec::FP16, 8, caps));
+    row(name, solve("ir-gmres8@fp32"));
+    row(name, solve("ir-gmres8@fp16"));
 
     // B: dynamic inner termination on levels 2 and 3.
     for (double irt : {0.5, 0.1, 0.01}) {
@@ -50,7 +51,7 @@ int main(int argc, char** argv) {
       dyn.name = "fp16-F3R-dyn(" + Table::fmt(irt, 2) + ")";
       dyn.levels[1].inner_rtol = irt;
       dyn.levels[2].inner_rtol = irt;
-      row(name, run_nested(p, m, dyn, f3r_termination(cfg.rtol)));
+      row(name, solve_nested(dyn));
     }
 
     // C: Chebyshev at the third level.
@@ -58,7 +59,7 @@ int main(int argc, char** argv) {
     cheb.name = "fp16-F2C-R";
     cheb.levels[2].kind = SolverKind::Chebyshev;
     cheb.levels[2].eig_ratio = 20.0;
-    row(name, run_nested(p, m, cheb, f3r_termination(cfg.rtol)));
+    row(name, solve_nested(cheb));
   }
   print_banner(std::cout, "A/B/C: refinement baseline, dynamic termination, Chebyshev level");
   bench::finish_table(t, cfg);
@@ -67,23 +68,17 @@ int main(int argc, char** argv) {
   Table tp({"matrix", "primary M", "outer-its", "M-applies", "time[s]", "conv"});
   for (const auto& name : cfg.matrices) {
     auto p = prepare_standin(name, cfg.scale, 7, cfg.use_sell());
-    struct Entry {
-      std::string label;
-      std::shared_ptr<PrimaryPrecond> m;
-    };
-    std::vector<Entry> primaries;
-    primaries.push_back({"bj-ilu0/ic0", make_primary(p, PrecondKind::BlockJacobiIluIc,
-                                                     cfg.nblocks)});
-    primaries.push_back({"sd-ainv", make_primary(p, PrecondKind::SdAinv)});
-    primaries.push_back(
-        {"ssor(1.0)", std::make_shared<SsorPrecond>(
-                          p.a->csr_fp64(), SsorPrecond::Config{cfg.nblocks, 1.0})});
-    primaries.push_back({"neumann(2)", std::make_shared<NeumannPrecond>(
-                                           p.a->csr_fp64(), NeumannPrecond::Config{2})});
-    primaries.push_back({"jacobi", make_primary(p, PrecondKind::Jacobi)});
-    for (auto& e : primaries) {
-      const auto r = run_nested(p, e.m, f3r_config(Prec::FP16), f3r_termination(cfg.rtol));
-      tp.add_row({name, e.label, Table::fmt_int(r.iterations),
+    const std::string nb = ";nblocks=" + std::to_string(cfg.nblocks);
+    const std::pair<std::string, std::string> primaries[] = {
+        {"bj-ilu0/ic0", "bj" + nb},
+        {"sd-ainv", "sd-ainv"},
+        {"ssor(1.0)", "ssor;omega=1.0" + nb},
+        {"neumann(2)", "neumann;degree=2"},
+        {"jacobi", "jacobi"}};
+    for (const auto& [label, precond] : primaries) {
+      auto m = registry().make_precond(PrecondSpec::parse(precond), p);
+      const auto r = Session(borrow_problem(p), cfg.spec("f3r@fp16"), m).solve();
+      tp.add_row({name, label, Table::fmt_int(r.iterations),
                   Table::fmt_int(static_cast<long long>(r.precond_invocations)),
                   Table::fmt(r.seconds, 3), r.converged ? "yes" : "NO"});
     }

@@ -30,7 +30,8 @@
 #include "base/env.hpp"
 #include "base/options.hpp"
 #include "base/table.hpp"
-#include "core/runner.hpp"
+#include "core/f3r.hpp"
+#include "core/session.hpp"
 #include "sparse/gen/suite_standins.hpp"
 
 namespace nk::bench {
@@ -48,6 +49,14 @@ struct BenchConfig {
   std::string format = "csr";  ///< sparse storage: "csr" or "sell"
 
   [[nodiscard]] bool use_sell() const { return format == "sell"; }
+
+  /// Parse a solver spec and apply this run's --rtol/--max-iters to it.
+  [[nodiscard]] SolverSpec spec(const std::string& text) const {
+    SolverSpec s = SolverSpec::parse(text);
+    s.rtol = rtol;
+    s.max_iters = max_iters;
+    return s;
+  }
 };
 
 inline BenchConfig parse_bench_options(const Options& opt,

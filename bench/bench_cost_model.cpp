@@ -67,8 +67,10 @@ int main(int argc, char** argv) {
   print_banner(std::cout, "model vs measured bytes per outer iteration (fp16-F3R)");
   for (const auto& name : cfg.matrices) {
     auto p = prepare_standin(name, cfg.scale, 7, cfg.use_sell());
-    auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, cfg.nblocks);
-    const auto res = run_nested(p, m, f3r_config(Prec::FP16), f3r_termination(cfg.rtol));
+    const auto res =
+        Session(borrow_problem(p),
+                cfg.spec("f3r@fp16;nblocks=" + std::to_string(cfg.nblocks)))
+            .solve();
     if (!res.converged || res.iterations == 0) continue;
     const double applies_per_outer =
         static_cast<double>(res.precond_invocations) / res.iterations;

@@ -24,10 +24,6 @@ int main(int argc, char** argv) {
             "Transport", "atmosmodd", "t2em", "tmt_unsym", "hpgmp_5_5_5", "ss"});
   bench::print_header("Figure 1 — CPU node: speedup over fp64-F3R", cfg);
 
-  FlatSolverCaps caps;
-  caps.rtol = cfg.rtol;
-  caps.max_iters = cfg.max_iters;
-
   Table summary({"matrix", "sym", "fp64-F3R[s]", "fp32-F3R", "fp16-F3R", "fp64-KRY",
                  "fp32-KRY", "fp16-KRY", "fp64-FG64", "fp32-FG64", "fp16-FG64", "best",
                  "best-params"});
@@ -35,33 +31,22 @@ int main(int argc, char** argv) {
 
   for (const auto& name : cfg.matrices) {
     auto p = prepare_standin(name, cfg.scale, 7, cfg.use_sell());
-    auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, cfg.nblocks);
-
-    auto f3r = [&](Prec prec) {
+    auto m = registry().make_precond(
+        PrecondSpec::parse("bj;nblocks=" + std::to_string(cfg.nblocks)), p);
+    auto solve = [&](const std::string& spec) {
       return bench::best_of(cfg.runs, [&] {
-        return run_nested(p, m, f3r_config(prec), f3r_termination(cfg.rtol));
+        return Session(borrow_problem(p), cfg.spec(spec), m).solve();
       });
     };
-    const auto base = f3r(Prec::FP64);
-    const auto r32 = f3r(Prec::FP32);
-    const auto r16 = f3r(Prec::FP16);
-
-    auto krylov = [&](Prec st) {
-      return bench::best_of(cfg.runs, [&] {
-        return p.symmetric ? run_cg(p, *m, st, caps) : run_bicgstab(p, *m, st, caps);
-      });
-    };
-    const auto k64 = krylov(Prec::FP64);
-    const auto k32 = krylov(Prec::FP32);
-    const auto k16 = krylov(Prec::FP16);
-
-    auto fg = [&](Prec st) {
-      return bench::best_of(cfg.runs,
-                            [&] { return run_fgmres_restarted(p, *m, st, 64, caps); });
-    };
-    const auto g64 = fg(Prec::FP64);
-    const auto g32 = fg(Prec::FP32);
-    const auto g16 = fg(Prec::FP16);
+    const auto base = solve("f3r@fp64");
+    const auto r32 = solve("f3r@fp32");
+    const auto r16 = solve("f3r@fp16");
+    const auto k64 = solve("krylov@fp64");
+    const auto k32 = solve("krylov@fp32");
+    const auto k16 = solve("krylov@fp16");
+    const auto g64 = solve("fgmres64@fp64");
+    const auto g32 = solve("fgmres64@fp32");
+    const auto g16 = solve("fgmres64@fp16");
 
     std::string best_cell = "-", best_params = "-";
     if (cfg.best) {

@@ -16,35 +16,28 @@ int main(int argc, char** argv) {
   cfg.gpu_sim = true;
   bench::print_header("Figure 2 — GPU node (simulated): speedup over fp64-F3R", cfg);
 
-  FlatSolverCaps caps;
-  caps.rtol = cfg.rtol;
-  caps.max_iters = cfg.max_iters;
-
   Table summary({"matrix", "sym", "fp64-F3R[s]", "fp32-F3R", "fp16-F3R", "fp64-KRY",
                  "fp32-KRY", "fp16-KRY", "fp64-FG64", "fp16-FG64", "best", "best-params"});
   std::vector<double> sp32, sp16;
 
   for (const auto& name : cfg.matrices) {
     auto p = prepare_standin(name, cfg.scale, 7, /*use_sell=*/true);
-    auto m = make_primary(p, PrecondKind::SdAinv);
-
-    auto f3r = [&](Prec prec) {
-      return bench::best_of(cfg.runs, [&] {
-        return run_nested(p, m, f3r_config(prec), f3r_termination(cfg.rtol));
-      });
+    auto m = registry().make_precond(PrecondSpec::parse("sd-ainv"), p);
+    auto solve = [&](const std::string& spec) {
+      return Session(borrow_problem(p), cfg.spec(spec), m).solve();
     };
-    const auto base = f3r(Prec::FP64);
-    const auto r32 = f3r(Prec::FP32);
-    const auto r16 = f3r(Prec::FP16);
 
-    auto krylov = [&](Prec st) {
-      return p.symmetric ? run_cg(p, *m, st, caps) : run_bicgstab(p, *m, st, caps);
+    auto f3r = [&](const std::string& spec) {
+      return bench::best_of(cfg.runs, [&] { return solve(spec); });
     };
-    const auto k64 = krylov(Prec::FP64);
-    const auto k32 = krylov(Prec::FP32);
-    const auto k16 = krylov(Prec::FP16);
-    const auto g64 = run_fgmres_restarted(p, *m, Prec::FP64, 64, caps);
-    const auto g16 = run_fgmres_restarted(p, *m, Prec::FP16, 64, caps);
+    const auto base = f3r("f3r@fp64");
+    const auto r32 = f3r("f3r@fp32");
+    const auto r16 = f3r("f3r@fp16");
+    const auto k64 = solve("krylov@fp64");
+    const auto k32 = solve("krylov@fp32");
+    const auto k16 = solve("krylov@fp16");
+    const auto g64 = solve("fgmres64@fp64");
+    const auto g16 = solve("fgmres64@fp16");
 
     std::string best_cell = "-", best_params = "-";
     if (cfg.best) {

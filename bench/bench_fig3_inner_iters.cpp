@@ -41,10 +41,11 @@ int main(int argc, char** argv) {
   Table t({"matrix", "variant", "rel-conv-speed", "rel-performance", "M-applies", "conv"});
   for (const auto& name : cfg.matrices) {
     auto p = prepare_standin(name, cfg.scale, 7, cfg.use_sell());
-    auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, cfg.nblocks);
+    auto m = registry().make_precond(
+        PrecondSpec::parse("bj;nblocks=" + std::to_string(cfg.nblocks)), p);
 
     const auto base = bench::best_of(cfg.runs, [&] {
-      return run_nested(p, m, f3r_config(Prec::FP16), f3r_termination(cfg.rtol));
+      return Session(borrow_problem(p), cfg.spec("f3r@fp16"), m).solve();
     });
     if (!base.converged) {
       t.add_row({name, "default(8-4-2)", "-", "-", "-", "NO"});
@@ -55,7 +56,9 @@ int main(int argc, char** argv) {
 
     for (const auto& v : variants) {
       const auto r = bench::best_of(cfg.runs, [&] {
-        return run_nested(p, m, f3r_config(Prec::FP16, v.prm), f3r_termination(cfg.rtol));
+        return Session(borrow_problem(p), f3r_config(Prec::FP16, v.prm),
+                       f3r_termination(cfg.rtol), m)
+            .solve();
       });
       if (!r.converged) {
         t.add_row({name, v.label, "-", "-", "-", "NO"});

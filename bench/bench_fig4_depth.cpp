@@ -23,11 +23,15 @@ int main(int argc, char** argv) {
            "conv"});
   for (const auto& name : cfg.matrices) {
     auto p = prepare_standin(name, cfg.scale, 7, cfg.use_sell());
-    auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, cfg.nblocks);
+    auto m = registry().make_precond(
+        PrecondSpec::parse("bj;nblocks=" + std::to_string(cfg.nblocks)), p);
+    auto solve = [&](const std::string& spec) {
+      return bench::best_of(cfg.runs, [&] {
+        return Session(borrow_problem(p), cfg.spec(spec), m).solve();
+      });
+    };
 
-    const auto base = bench::best_of(cfg.runs, [&] {
-      return run_nested(p, m, f3r_config(Prec::FP16), f3r_termination(cfg.rtol));
-    });
+    const auto base = solve("f3r@fp16");
     t.add_row({name, "fp16-F3R", "1.00", "1.00",
                base.converged
                    ? Table::fmt_int(static_cast<long long>(base.precond_invocations))
@@ -35,9 +39,7 @@ int main(int argc, char** argv) {
                Table::fmt(base.seconds, 3), base.converged ? "yes" : "NO"});
 
     for (const auto& vname : variant_names()) {
-      const auto r = bench::best_of(cfg.runs, [&] {
-        return run_nested(p, m, variant_config(vname), f3r_termination(cfg.rtol));
-      });
+      const auto r = solve(vname);
       if (!r.converged || !base.converged) {
         t.add_row({name, vname, "-", "-", "-", Table::fmt(r.seconds, 3),
                    r.converged ? "yes" : "NO"});

@@ -16,10 +16,11 @@ int main(int argc, char** argv) {
   Table t({"matrix", "c", "rel-conv-speed", "rel-performance", "M-applies", "conv"});
   for (const auto& name : cfg.matrices) {
     auto p = prepare_standin(name, cfg.scale, 7, cfg.use_sell());
-    auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, cfg.nblocks);
+    auto m = registry().make_precond(
+        PrecondSpec::parse("bj;nblocks=" + std::to_string(cfg.nblocks)), p);
 
     const auto base = bench::best_of(cfg.runs, [&] {
-      return run_nested(p, m, f3r_config(Prec::FP16), f3r_termination(cfg.rtol));
+      return Session(borrow_problem(p), cfg.spec("f3r@fp16"), m).solve();
     });
     t.add_row({name, "64 (default)", "1.00", "1.00",
                base.converged
@@ -32,7 +33,9 @@ int main(int argc, char** argv) {
       F3rParams prm;
       prm.cycle = c;
       const auto r = bench::best_of(cfg.runs, [&] {
-        return run_nested(p, m, f3r_config(Prec::FP16, prm), f3r_termination(cfg.rtol));
+        return Session(borrow_problem(p), f3r_config(Prec::FP16, prm),
+                       f3r_termination(cfg.rtol), m)
+            .solve();
       });
       if (!r.converged) {
         t.add_row({name, std::to_string(c), "-", "-", "-", "NO"});

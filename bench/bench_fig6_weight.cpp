@@ -18,10 +18,11 @@ int main(int argc, char** argv) {
   Table t({"matrix", "omega", "performance-vs-adaptive", "conv-speed-vs-adaptive", "conv"});
   for (const auto& name : cfg.matrices) {
     auto p = prepare_standin(name, cfg.scale, 7, cfg.use_sell());
-    auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, cfg.nblocks);
+    auto m = registry().make_precond(
+        PrecondSpec::parse("bj;nblocks=" + std::to_string(cfg.nblocks)), p);
 
     const auto adaptive = bench::best_of(cfg.runs, [&] {
-      return run_nested(p, m, f3r_config(Prec::FP16), f3r_termination(cfg.rtol));
+      return Session(borrow_problem(p), cfg.spec("f3r@fp16"), m).solve();
     });
     t.add_row({name, "adaptive", "1.00", "1.00", adaptive.converged ? "yes" : "NO"});
     if (!adaptive.converged) continue;
@@ -31,7 +32,9 @@ int main(int argc, char** argv) {
       prm.adaptive = false;
       prm.fixed_weight = static_cast<float>(w);
       const auto r = bench::best_of(cfg.runs, [&] {
-        return run_nested(p, m, f3r_config(Prec::FP16, prm), f3r_termination(cfg.rtol));
+        return Session(borrow_problem(p), f3r_config(Prec::FP16, prm),
+                       f3r_termination(cfg.rtol), m)
+            .solve();
       });
       if (!r.converged) {
         t.add_row({name, Table::fmt(w, 1), "-", "-", "NO"});

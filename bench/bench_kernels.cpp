@@ -44,9 +44,9 @@
 #include "base/timer.hpp"
 #include "backend/kernels.hpp"
 #include "bench_common.hpp"
+#include "core/fingerprint.hpp"
 #include "core/problem.hpp"
 #include "core/service/executor.hpp"
-#include "core/service/fingerprint.hpp"
 #include "core/session.hpp"
 #include "core/tune/features.hpp"
 #include "core/tune/perf_db.hpp"
@@ -1012,7 +1012,7 @@ void bench_daemon(bench::JsonReport& rep) {
   CsrMatrix<double> a = gen::stencil27({.nx = 8, .ny = 8, .nz = 8});
   a.sort_rows();
   // Fingerprint the RAW matrix exactly as the server does on a client PUT.
-  const std::uint64_t h = service::matrix_fingerprint(a, /*symmetric=*/true);
+  const std::uint64_t h = matrix_fingerprint(a, /*symmetric=*/true);
   auto p = std::make_shared<const PreparedProblem>(prepare_problem(
       "daemon-bench", std::move(a), /*symmetric=*/true, 1.0, 1.0, /*rhs_seed=*/7));
   const SolverSpec spec = SolverSpec::parse("cg/bj;nblocks=8");

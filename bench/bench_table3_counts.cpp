@@ -23,21 +23,20 @@ int main(int argc, char** argv) {
             "Transport", "atmosmodd", "t2em", "tmt_unsym", "hpgmp_5_5_5", "ss"});
   bench::print_header("Table 3 — primary preconditioner invocations until convergence", cfg);
 
-  FlatSolverCaps caps;
-  caps.rtol = cfg.rtol;
-  caps.max_iters = cfg.max_iters;
-
   Table t({"matrix", "CG/BiCGStab", "fp64-FGMRES(64)", "fp64-F3R", "fp32-F3R", "fp16-F3R"});
   for (const auto& name : cfg.matrices) {
     auto p = prepare_standin(name, cfg.scale, 7, cfg.use_sell());
-    auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, cfg.nblocks);
+    auto m = registry().make_precond(
+        PrecondSpec::parse("bj;nblocks=" + std::to_string(cfg.nblocks)), p);
+    auto solve = [&](const std::string& spec) {
+      return Session(borrow_problem(p), cfg.spec(spec), m).solve();
+    };
 
-    const auto kry = p.symmetric ? run_cg(p, *m, Prec::FP64, caps)
-                                 : run_bicgstab(p, *m, Prec::FP64, caps);
-    const auto fg = run_fgmres_restarted(p, *m, Prec::FP64, 64, caps);
-    const auto f64 = run_nested(p, m, f3r_config(Prec::FP64), f3r_termination(cfg.rtol));
-    const auto f32 = run_nested(p, m, f3r_config(Prec::FP32), f3r_termination(cfg.rtol));
-    const auto f16 = run_nested(p, m, f3r_config(Prec::FP16), f3r_termination(cfg.rtol));
+    const auto kry = solve("krylov");
+    const auto fg = solve("fgmres64");
+    const auto f64 = solve("f3r@fp64");
+    const auto f32 = solve("f3r@fp32");
+    const auto f16 = solve("f3r@fp16");
 
     t.add_row({name, count_cell(kry), count_cell(fg), count_cell(f64), count_cell(f32),
                count_cell(f16)});

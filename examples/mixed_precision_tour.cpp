@@ -10,8 +10,7 @@
 #include "base/env.hpp"
 #include "base/options.hpp"
 #include "base/table.hpp"
-#include "core/runner.hpp"
-#include "core/variants.hpp"
+#include "core/session.hpp"
 #include "sparse/stats.hpp"
 
 int main(int argc, char** argv) {
@@ -29,31 +28,27 @@ int main(int argc, char** argv) {
             << (gpu_sim ? " [GPU-sim: SELL-32 + SD-AINV]" : " [CPU: CSR + block-Jacobi ILU/IC]")
             << "\n";
 
-  auto m = nk::make_primary(p, gpu_sim ? nk::PrecondKind::SdAinv
-                                       : nk::PrecondKind::BlockJacobiIluIc);
-
-  nk::FlatSolverCaps caps;
-  caps.rtol = rtol;
-  caps.max_iters = max_iters;
+  auto m = nk::registry().make_precond(nk::PrecondSpec::parse(gpu_sim ? "sd-ainv" : "bj"), p);
 
   nk::Table table({"solver", "converged", "outer-its", "M-applies", "time[s]", "relres"});
-  auto add = [&](const nk::SolveResult& r) {
+  auto add = [&](const std::string& text) {
+    nk::SolverSpec spec = nk::SolverSpec::parse(text);
+    spec.rtol = rtol;
+    spec.max_iters = max_iters;
+    const nk::SolveResult r = nk::Session(nk::borrow_problem(p), spec, m).solve();
     table.add_row({r.solver, r.converged ? "yes" : "NO", nk::Table::fmt_int(r.iterations),
                    nk::Table::fmt_int(static_cast<long long>(r.precond_invocations)),
                    nk::Table::fmt(r.seconds, 4), nk::Table::fmt_sci(r.final_relres)});
   };
 
   // The three F3R precision configurations.
-  for (nk::Prec prec : {nk::Prec::FP64, nk::Prec::FP32, nk::Prec::FP16})
-    add(nk::run_nested(p, m, nk::f3r_config(prec), nk::f3r_termination(rtol)));
+  for (const char* prec : {"fp64", "fp32", "fp16"}) add(std::string("f3r@") + prec);
 
-  // The paper's conventional baselines with fp64/fp32/fp16 preconditioners.
-  for (nk::Prec st : {nk::Prec::FP64, nk::Prec::FP32, nk::Prec::FP16}) {
-    if (p.symmetric)
-      add(nk::run_cg(p, *m, st, caps));
-    else
-      add(nk::run_bicgstab(p, *m, st, caps));
-    add(nk::run_fgmres_restarted(p, *m, st, 64, caps));
+  // The paper's conventional baselines with fp64/fp32/fp16 preconditioners:
+  // "krylov" is CG on symmetric problems, BiCGStab otherwise.
+  for (const char* prec : {"fp64", "fp32", "fp16"}) {
+    add(std::string("krylov@") + prec);
+    add(std::string("fgmres64@") + prec);
   }
 
   table.print(std::cout);

@@ -17,7 +17,8 @@
 
 #include "base/env.hpp"
 #include "base/options.hpp"
-#include "core/runner.hpp"
+#include "core/f3r.hpp"
+#include "core/session.hpp"
 #include "sparse/io_matrix_market.hpp"
 #include "sparse/stats.hpp"
 
@@ -50,9 +51,10 @@ int main(int argc, char** argv) {
 
   nk::SolveResult res;
   if (solver == "fp16-F3R-best") {  // a search over specs, not a spec itself
-    auto m = nk::make_primary(p, gpu_sim ? nk::PrecondKind::SdAinv
-                                         : nk::PrecondKind::BlockJacobiIluIc,
-                              opt.get_int("nblocks", 64));
+    auto m = nk::registry().make_precond(
+        nk::PrecondSpec::parse(std::string(gpu_sim ? "sd-ainv" : "bj") +
+                               ";nblocks=" + std::to_string(opt.get_int("nblocks", 64))),
+        p);
     res = nk::run_f3r_best(p, m, rtol).result;
   } else {
     // Malformed/unknown --solver values exit(2) with the registered kinds

@@ -21,8 +21,8 @@
 
 #include "base/env.hpp"
 #include "base/rng.hpp"
+#include "core/fingerprint.hpp"
 #include "core/service/client.hpp"
-#include "core/service/fingerprint.hpp"
 
 namespace {
 
@@ -34,7 +34,7 @@ int usage() {
 }
 
 void print_handle(const nk::service::Client::Handle& h) {
-  std::printf("HANDLE %s n=%lld nnz=%lld %s\n", nk::service::fingerprint_hex(h.handle).c_str(),
+  std::printf("HANDLE %s n=%lld nnz=%lld %s\n", nk::fingerprint_hex(h.handle).c_str(),
               static_cast<long long>(h.n), static_cast<long long>(h.nnz),
               h.cached ? "CACHED" : "NEW");
 }
@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
       print_handle(client.put_standin(argv[3], std::atoi(argv[4])));
     } else if (cmd == "solve" && (argc == 7 || argc == 8)) {
       std::uint64_t handle = 0;
-      if (!nk::service::parse_fingerprint_hex(argv[3], handle)) {
+      if (!nk::parse_fingerprint_hex(argv[3], handle)) {
         std::fprintf(stderr, "nk_client: malformed handle '%s'\n", argv[3]);
         return 2;
       }
@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
         std::printf("%s=%llu\n", key.c_str(), static_cast<unsigned long long>(value));
     } else if (cmd == "free" && argc == 4) {
       std::uint64_t handle = 0;
-      if (!nk::service::parse_fingerprint_hex(argv[3], handle)) {
+      if (!nk::parse_fingerprint_hex(argv[3], handle)) {
         std::fprintf(stderr, "nk_client: malformed handle '%s'\n", argv[3]);
         return 2;
       }

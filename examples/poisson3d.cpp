@@ -11,7 +11,7 @@
 
 #include "base/options.hpp"
 #include "base/table.hpp"
-#include "core/runner.hpp"
+#include "core/session.hpp"
 #include "sparse/gen/laplace.hpp"
 #include "sparse/scaling.hpp"
 
@@ -48,16 +48,15 @@ int main(int argc, char** argv) {
   p.a = std::make_shared<nk::MultiPrecMatrix>(std::move(scaled));
   p.b = b;
 
-  auto m = nk::make_primary(p, nk::PrecondKind::BlockJacobiIluIc, 16);
+  auto m = nk::registry().make_precond(nk::PrecondSpec::parse("bj;nblocks=16"), p);
 
   nk::Table t({"solver", "outer-its", "M-applies", "time[s]", "relres", "peak-u", "peak-at"});
-  for (nk::Prec prec : {nk::Prec::FP64, nk::Prec::FP32, nk::Prec::FP16}) {
-    nk::NestedSolver solver(p.a, m, nk::f3r_config(prec));
+  for (const char* spec_text : {"f3r@fp64", "f3r@fp32", "f3r@fp16"}) {
+    nk::SolverSpec spec = nk::SolverSpec::parse(spec_text);
+    spec.rtol = rtol;
+    nk::Session session(nk::borrow_problem(p), spec, m);
     std::vector<double> xt(p.b.size(), 0.0);
-    const std::uint64_t c0 = m->invocations();
-    auto res = solver.solve(std::span<const double>(p.b), std::span<double>(xt),
-                            nk::f3r_termination(rtol));
-    res.precond_invocations = m->invocations() - c0;
+    const auto res = session.solve(std::span<const double>(p.b), std::span<double>(xt));
     if (!res.converged) {
       std::cerr << res.solver << " failed to converge\n";
       return 1;

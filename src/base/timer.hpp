@@ -2,7 +2,6 @@
 #pragma once
 
 #include <chrono>
-#include <cstdint>
 
 namespace nk {
 
@@ -25,25 +24,6 @@ class WallTimer {
  private:
   using clock = std::chrono::steady_clock;
   clock::time_point start_;
-};
-
-/// Accumulating timer: sums intervals across start/stop pairs.  Used to
-/// attribute time to individual nesting levels in instrumented runs.
-class SectionTimer {
- public:
-  void start() { t_.reset(); running_ = true; }
-  void stop() {
-    if (running_) { total_ += t_.seconds(); ++count_; running_ = false; }
-  }
-  [[nodiscard]] double total_seconds() const { return total_; }
-  [[nodiscard]] std::uint64_t count() const { return count_; }
-  void reset() { total_ = 0.0; count_ = 0; running_ = false; }
-
- private:
-  WallTimer t_;
-  double total_ = 0.0;
-  std::uint64_t count_ = 0;
-  bool running_ = false;
 };
 
 }  // namespace nk

@@ -449,7 +449,7 @@ class IdentityPrimary final : public PrimaryPrecond {
 };
 
 /// Block-Jacobi ILU(0)/IC(0): the paper's CPU-node primary, IC(0) on
-/// symmetric problems (make_primary's long-standing selection rule).
+/// symmetric problems (`force` > 0 forces IC(0), < 0 forces ILU(0)).
 std::shared_ptr<PrimaryPrecond> make_bj(const PrecondSpec& spec, const PreparedProblem& p,
                                         int force) {
   const CsrMatrix<double>& a = p.a->csr_fp64();

@@ -1,5 +1,12 @@
 #include "core/f3r.hpp"
 
+#include <algorithm>
+#include <limits>
+#include <vector>
+
+#include "core/cost_model.hpp"
+#include "core/session.hpp"
+
 namespace nk {
 
 std::string f3r_name(Prec lowest) { return std::string(prec_name(lowest)) + "-F3R"; }
@@ -59,6 +66,54 @@ Termination f3r_termination(double rtol) {
   t.rtol = rtol;
   t.max_restarts = 3;  // "F3R was restarted only three times"
   return t;
+}
+
+BestSearchResult run_f3r_best(const PreparedProblem& p, std::shared_ptr<PrimaryPrecond> m,
+                              double rtol, int budget) {
+  // Candidate box from the paper's fp16-F3R-best rows: m2 ∈ 6..10,
+  // m3 ∈ 2..6, m4 ∈ {1,2}; ordered by the memory-access model so the
+  // cheapest configurations are tried first under a budget.
+  struct Cand {
+    F3rParams prm;
+    double model_cost;
+  };
+  const double ca = access_constant(p.a->csr_fp64().nnz_per_row(), 2);  // fp16 values
+  const double cm = ca;  // M has A-like sparsity for ILU(0)/IC(0)
+  std::vector<Cand> cands;
+  for (int m2 : {8, 6, 7, 9, 10})
+    for (int m3 : {4, 2, 3, 5, 6})
+      for (int m4 : {2, 1}) {
+        F3rParams prm;
+        prm.m2 = m2;
+        prm.m3 = m3;
+        prm.m4 = m4;
+        const double cost = cost_nested(
+            ca, cm,
+            {{'F', prm.m2}, {'F', prm.m3}, {'R', prm.m4}});
+        cands.push_back({prm, cost});
+      }
+  std::stable_sort(cands.begin(), cands.end(),
+                   [](const Cand& a, const Cand& b) { return a.model_cost < b.model_cost; });
+
+  BestSearchResult best;
+  best.result.seconds = std::numeric_limits<double>::max();
+  for (const Cand& c : cands) {
+    if (best.tried >= budget) break;
+    ++best.tried;
+    auto res = Session(borrow_problem(p), f3r_config(Prec::FP16, c.prm),
+                       f3r_termination(rtol), m)
+                   .solve();
+    if (res.converged &&
+        (!best.result.converged || res.seconds < best.result.seconds)) {
+      best.result = res;
+      best.params = c.prm;
+      best.param_label = std::to_string(c.prm.m2) + "-" + std::to_string(c.prm.m3) + "-" +
+                         std::to_string(c.prm.m4);
+    }
+  }
+  if (best.param_label.empty()) best.param_label = "-";
+  best.result.solver = "fp16-F3R-best";
+  return best;
 }
 
 }  // namespace nk

@@ -11,11 +11,16 @@
 //
 // The factory functions here produce NestedConfig descriptions consumed by
 // NestedSolver; see variants.hpp for the Section 6.2 ablation solvers.
+// run_f3r_best searches the paper's fp16-F3R-best parameter box.
 #pragma once
 
+#include <memory>
 #include <string>
 
 #include "core/nested_builder.hpp"
+#include "core/problem.hpp"
+#include "krylov/history.hpp"
+#include "precond/preconditioner.hpp"
 
 namespace nk {
 
@@ -39,5 +44,18 @@ std::string f3r_name(Prec lowest);
 
 /// The paper's default termination for F3R (rtol 1e-8, ≤ 3 restarts).
 Termination f3r_termination(double rtol = 1e-8);
+
+/// Search the paper's fp16-F3R-best parameter box (m2 ∈ {6..10},
+/// m3 ∈ {2..6}, m4 ∈ {1,2}) and return the fastest converged run plus its
+/// parameters formatted "m2-m3-m4".  `budget` limits the number of
+/// configurations tried (they are ordered by the memory-access model).
+struct BestSearchResult {
+  SolveResult result;
+  F3rParams params;
+  std::string param_label;
+  int tried = 0;
+};
+BestSearchResult run_f3r_best(const PreparedProblem& p, std::shared_ptr<PrimaryPrecond> m,
+                              double rtol = 1e-8, int budget = 12);
 
 }  // namespace nk

@@ -146,10 +146,11 @@ NestedSolver::NestedSolver(std::shared_ptr<MultiPrecMatrix> a,
   }
 
   auto op = a_->make_operator<double>(cfg_.levels[0].mat, kx_.backend());
-  outer_op_ = op.get();
+  Operator<double>* outer_op = op.get();
+  spmv_probes_.push_back([outer_op] { return outer_op->spmv_count(); });
   owned_.push_back(std::shared_ptr<void>(std::move(op)));
   auto outer = std::make_shared<FgmresSolver<double>>(
-      *outer_op_, *below, FgmresSolver<double>::Config{cfg_.levels[0].m}, ws_,
+      *outer_op, *below, FgmresSolver<double>::Config{cfg_.levels[0].m}, ws_,
       ws_prefix_ + "lvl0.fgmres");
   outer_ = outer.get();
   owned_.push_back(outer);
@@ -162,6 +163,7 @@ Preconditioner<VT>* NestedSolver::build_level(std::size_t d) {
   // Operator for this level.
   auto op_owned = a_->make_operator<VT>(lv.mat, kx_.backend());
   Operator<VT>* op = op_owned.get();
+  spmv_probes_.push_back([op] { return op->spmv_count(); });
   owned_.push_back(std::shared_ptr<void>(std::move(op_owned)));
 
   // Preconditioner of this level: the next level, or the primary M.
@@ -216,6 +218,7 @@ Preconditioner<VT>* NestedSolver::build_level(std::size_t d) {
   if constexpr (std::is_same_v<VT, half>) {
     auto op32_owned = a_->make_operator<float>(lv.mat, kx_.backend());
     op32 = op32_owned.get();
+    spmv_probes_.push_back([op32] { return op32->spmv_count(); });
     owned_.push_back(std::shared_ptr<void>(std::move(op32_owned)));
   }
   typename RichardsonSolver<VT>::Config rc;
@@ -240,7 +243,7 @@ SolveResult NestedSolver::solve(std::span<const double> b, std::span<double> x,
   WallTimer timer;
 
   const std::uint64_t m_calls0 = m_->invocations();
-  const std::uint64_t spmv0 = outer_op_->spmv_count();
+  const std::uint64_t spmv0 = spmv_total();
 
   const double bnorm = static_cast<double>(kx_.nrm2(b));
   const double bref = bnorm > 0.0 ? bnorm : 1.0;
@@ -299,7 +302,7 @@ SolveResult NestedSolver::solve(std::span<const double> b, std::span<double> x,
     for (double e : estimates) res.history.push_back(e / bref);
   }
   res.precond_invocations = m_->invocations() - m_calls0;
-  res.spmv_count = outer_op_->spmv_count() - spmv0;
+  res.spmv_count = spmv_total() - spmv0;
   res.seconds = timer.seconds();
   return res;
 }
@@ -327,6 +330,12 @@ std::vector<float> NestedSolver::richardson_weights() const {
     out.insert(out.end(), w.begin(), w.end());
   }
   return out;
+}
+
+std::uint64_t NestedSolver::spmv_total() const {
+  std::uint64_t total = 0;
+  for (const auto& probe : spmv_probes_) total += probe();
+  return total;
 }
 
 void NestedSolver::reset_state() {

@@ -203,6 +203,10 @@ class NestedSolver {
   template <class VT>
   Preconditioner<VT>* build_level(std::size_t d);
 
+  /// SpMVs so far over every level's operators (Richardson's fp32 weight
+  /// operator included).
+  [[nodiscard]] std::uint64_t spmv_total() const;
+
   std::shared_ptr<MultiPrecMatrix> a_;
   std::shared_ptr<PrimaryPrecond> m_;
   NestedConfig cfg_;
@@ -213,7 +217,8 @@ class NestedSolver {
   // Ownership of all typed level objects; raw pointers below reference these.
   std::vector<std::shared_ptr<void>> owned_;
   FgmresSolver<double>* outer_ = nullptr;
-  Operator<double>* outer_op_ = nullptr;
+  // One counter probe per operator of any level, for SolveResult::spmv_count.
+  std::vector<std::function<std::uint64_t()>> spmv_probes_;
   // Richardson levels (any precision) for weight inspection / reset.
   std::vector<std::function<std::vector<float>()>> weight_probes_;
   std::vector<std::function<void()>> state_resets_;

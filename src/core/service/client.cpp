@@ -9,7 +9,7 @@
 #include <limits>
 #include <stdexcept>
 
-#include "core/service/fingerprint.hpp"
+#include "core/fingerprint.hpp"
 
 namespace nk::service {
 

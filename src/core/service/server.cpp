@@ -12,7 +12,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "core/service/fingerprint.hpp"
+#include "core/fingerprint.hpp"
 #include "core/spec.hpp"
 #include "core/tune/perf_db.hpp"
 

@@ -43,15 +43,15 @@
 namespace nk {
 
 /// Non-owning shared_ptr view of a caller-owned preconditioner (the
-/// aliasing-constructor idiom) — the bridge from the legacy run_* surface,
-/// whose callers keep ownership of M.  `m` must outlive every user.
+/// aliasing-constructor idiom), for callers that keep ownership of M.
+/// `m` must outlive every user.
 inline std::shared_ptr<PrimaryPrecond> borrow_precond(PrimaryPrecond& m) {
   return std::shared_ptr<PrimaryPrecond>(std::shared_ptr<void>(), &m);
 }
 
 /// Non-owning view of a caller-owned prepared problem: a Session built
-/// over it performs no copy of the RHS (the run_* shims and per-cell
-/// sweeps use this).  `p` must outlive the Session.
+/// over it performs no copy of the RHS (benches and per-cell sweeps that
+/// solve one problem many ways use this).  `p` must outlive the Session.
 inline std::shared_ptr<const PreparedProblem> borrow_problem(const PreparedProblem& p) {
   return std::shared_ptr<const PreparedProblem>(std::shared_ptr<void>(), &p);
 }

@@ -59,7 +59,6 @@
 #include "core/nested_builder.hpp"
 #include "core/problem.hpp"
 #include "core/registry.hpp"
-#include "core/runner.hpp"
 #include "core/session.hpp"
 #include "core/spec.hpp"
 #include "core/variants.hpp"

@@ -1,4 +1,4 @@
-// Tests for the wall-clock and accumulating section timers.
+// Tests for the wall-clock stopwatch.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -47,54 +47,6 @@ TEST(WallTimer, ResetRestartsFromZero) {
   // Post-reset elapsed is microseconds; it beats the 20 ms pre-reset
   // reading unless the scheduler stalls us longer than `before` itself.
   EXPECT_LT(t.seconds(), before);
-}
-
-TEST(SectionTimer, AccumulatesAcrossStartStopPairs) {
-  SectionTimer t;
-  EXPECT_DOUBLE_EQ(t.total_seconds(), 0.0);
-  EXPECT_EQ(t.count(), 0u);
-  for (int i = 0; i < 3; ++i) {
-    t.start();
-    spin_for_ms(2);
-    t.stop();
-  }
-  EXPECT_EQ(t.count(), 3u);
-  EXPECT_GE(t.total_seconds(), 0.005);
-}
-
-TEST(SectionTimer, StopWithoutStartIsIgnored) {
-  SectionTimer t;
-  t.stop();
-  t.stop();
-  EXPECT_EQ(t.count(), 0u);
-  EXPECT_DOUBLE_EQ(t.total_seconds(), 0.0);
-}
-
-TEST(SectionTimer, DoubleStopCountsOnce) {
-  SectionTimer t;
-  t.start();
-  t.stop();
-  t.stop();  // second stop: not running any more
-  EXPECT_EQ(t.count(), 1u);
-}
-
-TEST(SectionTimer, ResetClearsEverything) {
-  SectionTimer t;
-  t.start();
-  spin_for_ms(1);
-  t.stop();
-  t.reset();
-  EXPECT_EQ(t.count(), 0u);
-  EXPECT_DOUBLE_EQ(t.total_seconds(), 0.0);
-}
-
-TEST(SectionTimer, TimeOutsideSectionNotAttributed) {
-  SectionTimer t;
-  t.start();
-  t.stop();
-  const double in_section = t.total_seconds();
-  spin_for_ms(10);  // outside start/stop: must not count
-  EXPECT_DOUBLE_EQ(t.total_seconds(), in_section);
 }
 
 }  // namespace

@@ -1,7 +1,14 @@
-// Tests that the F3R factory reproduces Table 1 exactly.
+// Tests that the F3R factory reproduces Table 1 exactly, and the
+// fp16-F3R-best parameter search.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
+#include "core/cost_model.hpp"
 #include "core/f3r.hpp"
+#include "core/registry.hpp"
+#include "sparse/gen/laplace.hpp"
 
 namespace nk {
 namespace {
@@ -103,6 +110,83 @@ TEST(F3rConfig, TerminationMatchesPaper) {
 TEST(F3rConfig, ValidatesCleanly) {
   for (Prec p : {Prec::FP64, Prec::FP32, Prec::FP16})
     EXPECT_NO_THROW(validate(f3r_config(p)));
+}
+
+std::shared_ptr<PrimaryPrecond> bj2(const PreparedProblem& p) {
+  return registry().make_precond(PrecondSpec::parse("bj;nblocks=2"), p);
+}
+
+TEST(Runner, F3rBestSearchReturnsConvergedConfig) {
+  auto p = prepare_problem("s", gen::laplace2d(10, 10), true, 1.0, 1.0, 7);
+  auto m = bj2(p);
+  const auto best = run_f3r_best(p, m, 1e-8, 4);
+  EXPECT_EQ(best.tried, 4);
+  EXPECT_TRUE(best.result.converged);
+  EXPECT_EQ(best.result.solver, "fp16-F3R-best");
+  // Label has the paper's m2-m3-m4 form.
+  EXPECT_EQ(std::count(best.param_label.begin(), best.param_label.end(), '-'), 2);
+}
+
+TEST(Runner, F3rBestZeroBudgetTriesNothing) {
+  auto p = prepare_problem("s", gen::laplace2d(8, 8), true, 1.0, 1.0, 8);
+  auto m = bj2(p);
+  const auto best = run_f3r_best(p, m, 1e-8, 0);
+  EXPECT_EQ(best.tried, 0);
+  EXPECT_FALSE(best.result.converged);
+  EXPECT_EQ(best.param_label, "-");
+}
+
+TEST(Runner, F3rBestBudgetCappedByParameterBoxSize) {
+  // The box is m2 ∈ {6..10} × m3 ∈ {2..6} × m4 ∈ {1,2} = 50 candidates;
+  // an oversized budget must stop there.
+  auto p = prepare_problem("s", gen::laplace2d(8, 8), true, 1.0, 1.0, 9);
+  auto m = bj2(p);
+  const auto best = run_f3r_best(p, m, 1e-6, 10000);
+  EXPECT_EQ(best.tried, 50);
+  EXPECT_TRUE(best.result.converged);
+}
+
+TEST(Runner, F3rBestOrdersCandidatesByMemoryAccessModel) {
+  // With budget 1 exactly the model-cheapest configuration is tried, so on
+  // an easy problem it is also the one returned.  Recompute the model's
+  // argmin independently and compare.
+  auto p = prepare_problem("s", gen::laplace2d(10, 10), true, 1.0, 1.0, 10);
+  auto m = bj2(p);
+  const auto best = run_f3r_best(p, m, 1e-8, 1);
+  ASSERT_EQ(best.tried, 1);
+  ASSERT_TRUE(best.result.converged);
+
+  const double ca = access_constant(p.a->csr_fp64().nnz_per_row(), 2);
+  double min_cost = std::numeric_limits<double>::max();
+  int e2 = 0, e3 = 0, e4 = 0;
+  for (int m2 = 6; m2 <= 10; ++m2)
+    for (int m3 = 2; m3 <= 6; ++m3)
+      for (int m4 = 1; m4 <= 2; ++m4) {
+        const double c = cost_nested(ca, ca, {{'F', m2}, {'F', m3}, {'R', m4}});
+        if (c < min_cost) {
+          min_cost = c;
+          e2 = m2;
+          e3 = m3;
+          e4 = m4;
+        }
+      }
+  EXPECT_EQ(best.params.m2, e2);
+  EXPECT_EQ(best.params.m3, e3);
+  EXPECT_EQ(best.params.m4, e4);
+  EXPECT_EQ(best.param_label, std::to_string(e2) + "-" + std::to_string(e3) + "-" +
+                                  std::to_string(e4));
+}
+
+TEST(Runner, F3rBestSkipsNonConvergedCandidates) {
+  // An unreachable tolerance: every candidate fails, the search reports
+  // the whole budget as tried and returns a non-converged placeholder.
+  auto p = prepare_problem("s", gen::laplace2d(6, 6), true, 1.0, 1.0, 11);
+  auto m = bj2(p);
+  const auto best = run_f3r_best(p, m, 1e-300, 2);
+  EXPECT_EQ(best.tried, 2);
+  EXPECT_FALSE(best.result.converged);
+  EXPECT_EQ(best.param_label, "-");
+  EXPECT_EQ(best.result.solver, "fp16-F3R-best");
 }
 
 }  // namespace

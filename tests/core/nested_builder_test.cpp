@@ -5,7 +5,7 @@
 #include "base/rng.hpp"
 #include "core/f3r.hpp"
 #include "core/nested_builder.hpp"
-#include "core/runner.hpp"
+#include "core/session.hpp"
 #include "sparse/gen/laplace.hpp"
 #include "sparse/gen/stencil.hpp"
 #include "sparse/scaling.hpp"
@@ -112,8 +112,9 @@ class NestedSolveAllPrecisions : public ::testing::TestWithParam<Prec> {};
 TEST_P(NestedSolveAllPrecisions, F3rSolvesSmallLaplacian) {
   auto a = gen::laplace2d(16, 16);
   auto p = prepare_problem("lap", std::move(a), true, 1.0, 1.0, 11);
-  auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 2);
-  const auto res = run_nested(p, m, f3r_config(GetParam()), f3r_termination(1e-8));
+  auto m = registry().make_precond(PrecondSpec::parse("bj;nblocks=2"), p);
+  const auto spec = SolverSpec::parse("f3r@" + std::string(prec_name(GetParam())));
+  const auto res = Session(borrow_problem(p), spec, m).solve();
   EXPECT_TRUE(res.converged) << prec_name(GetParam());
   EXPECT_LT(res.final_relres, 1e-8);
   EXPECT_GT(res.precond_invocations, 0u);
@@ -128,15 +129,16 @@ INSTANTIATE_TEST_SUITE_P(Precisions, NestedSolveAllPrecisions,
 TEST(NestedSolver, SolutionMatchesDirectKrylov) {
   auto a = gen::hpcg(3, 3, 3);
   auto p = prepare_problem("hpcg", std::move(a), true, 1.0, 1.0, 3);
-  auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 2);
-  const auto res = run_nested(p, m, f3r_config(Prec::FP16), f3r_termination(1e-10));
+  auto m = registry().make_precond(PrecondSpec::parse("bj;nblocks=2"), p);
+  const auto res =
+      Session(borrow_problem(p), SolverSpec::parse("f3r@fp16;rtol=1e-10"), m).solve();
   EXPECT_TRUE(res.converged);
   EXPECT_LT(res.final_relres, 1e-10);  // true fp64 residual, not an estimate
 }
 
 TEST(NestedSolver, RichardsonWeightProbes) {
   auto p = prepare_problem("lap", gen::laplace2d(12, 12), true, 1.0, 1.0, 4);
-  auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 1);
+  auto m = registry().make_precond(PrecondSpec::parse("bj;nblocks=1"), p);
   NestedSolver s(p.a, m, f3r_config(Prec::FP16));
   const auto w0 = s.richardson_weights();
   ASSERT_EQ(w0.size(), 2u);  // m4 = 2 weights
@@ -154,7 +156,7 @@ TEST(NestedSolver, RichardsonWeightProbes) {
 
 TEST(NestedSolver, RestartsCountedAndCapped) {
   auto p = prepare_problem("lap", gen::laplace2d(12, 12), true, 1.0, 1.0, 5);
-  auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 1);
+  auto m = registry().make_precond(PrecondSpec::parse("bj;nblocks=1"), p);
   // Tiny outer dimension + impossible tolerance → exhausts all restarts.
   F3rParams prm;
   prm.m1 = 2;
@@ -175,7 +177,7 @@ TEST(NestedSolver, RestartsCountedAndCapped) {
 
 TEST(NestedSolver, HistoryRecordsOuterEstimates) {
   auto p = prepare_problem("lap", gen::laplace2d(12, 12), true, 1.0, 1.0, 6);
-  auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 2);
+  auto m = registry().make_precond(PrecondSpec::parse("bj;nblocks=2"), p);
   NestedSolver s(p.a, m, f3r_config(Prec::FP32));
   Termination t = f3r_termination(1e-8);
   std::vector<double> x(p.b.size(), 0.0);
@@ -191,14 +193,14 @@ TEST(NestedSolver, HistoryRecordsOuterEstimates) {
 TEST(NestedSolver, MismatchedPrecondRejected) {
   auto p = prepare_problem("lap", gen::laplace2d(8, 8), true, 1.0, 1.0, 7);
   auto p2 = prepare_problem("lap2", gen::laplace2d(4, 4), true, 1.0, 1.0, 7);
-  auto m_small = make_primary(p2, PrecondKind::BlockJacobiIluIc, 1);
+  auto m_small = registry().make_precond(PrecondSpec::parse("bj;nblocks=1"), p2);
   EXPECT_THROW(NestedSolver(p.a, m_small, f3r_config(Prec::FP64)), std::invalid_argument);
 }
 
 TEST(NestedSolver, TwoLevelConfigWorks) {
   // Minimal nesting: (F^50, R^2, M) — Richardson directly under the outer.
   auto p = prepare_problem("lap", gen::laplace2d(12, 12), true, 1.0, 1.0, 8);
-  auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 2);
+  auto m = registry().make_precond(PrecondSpec::parse("bj;nblocks=2"), p);
   NestedConfig cfg;
   cfg.name = "F-R";
   LevelSpec outer;
@@ -209,29 +211,64 @@ TEST(NestedSolver, TwoLevelConfigWorks) {
   rich.mat = Prec::FP64;
   rich.vec = Prec::FP64;
   cfg.levels = {outer, rich};
-  const auto res = run_nested(p, m, cfg, f3r_termination(1e-8));
+  const auto res = Session(borrow_problem(p), cfg, f3r_termination(1e-8), m).solve();
   EXPECT_TRUE(res.converged);
 }
 
 TEST(NestedSolver, SingleLevelIsPlainFgmres) {
   // (F^100, M): degenerate nesting = preconditioned FGMRES.
   auto p = prepare_problem("lap", gen::laplace2d(10, 10), true, 1.0, 1.0, 9);
-  auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 2);
+  auto m = registry().make_precond(PrecondSpec::parse("bj;nblocks=2"), p);
   NestedConfig cfg;
   cfg.name = "flat";
   LevelSpec outer;
   outer.m = 100;
   cfg.levels = {outer};
-  const auto res = run_nested(p, m, cfg, f3r_termination(1e-8));
+  const auto res = Session(borrow_problem(p), cfg, f3r_termination(1e-8), m).solve();
   EXPECT_TRUE(res.converged);
   EXPECT_EQ(res.precond_invocations, static_cast<std::uint64_t>(res.iterations));
+}
+
+TEST(NestedSolver, SpmvCountCoversEveryLevel) {
+  // Each Richardson call does m4 M-applies and m4 - 1 residual SpMVs, and
+  // each third-level FGMRES iteration adds one more, so fp16-F3R performs
+  // at least one SpMV per M-apply.
+  auto p = prepare_problem("lap", gen::laplace2d(16, 16), true, 1.0, 1.0, 12);
+  const auto res = Session(p, "f3r@fp16;nblocks=2").solve();
+  ASSERT_TRUE(res.converged);
+  EXPECT_GE(res.spmv_count, res.precond_invocations);
+}
+
+TEST(NestedSolver, SpmvCountMatchesTheTuple) {
+  // (F^m1, F^m2, F^m3, R^m4, M) with fixed weights and full inner
+  // iterations: each outer iteration costs 1 + m2·(1 + m3·m4) SpMVs, and
+  // every restart cycle after the first adds one outer residual SpMV.
+  auto p = prepare_problem("lap", gen::laplace2d(16, 16), true, 1.0, 1.0, 13);
+  auto m = registry().make_precond(PrecondSpec::parse("jacobi"), p);
+  F3rParams prm;
+  prm.m1 = 1;  // one outer iteration per cycle: forces restarts
+  prm.adaptive = false;
+  const std::uint64_t per_outer = 1 + prm.m2 * (1 + prm.m3 * prm.m4);
+  const auto res =
+      Session(borrow_problem(p), f3r_config(Prec::FP16, prm), f3r_termination(), m).solve();
+  ASSERT_GT(res.restarts, 0);
+  EXPECT_EQ(res.spmv_count, res.iterations * per_outer + res.restarts);
+
+  // Adaptive weights add m4 fp32 SpMVs on every c-th Richardson call.
+  prm.adaptive = true;
+  prm.cycle = 4;
+  const auto ada =
+      Session(borrow_problem(p), f3r_config(Prec::FP16, prm), f3r_termination(), m).solve();
+  const std::uint64_t richardson_calls = ada.iterations * prm.m2 * prm.m3;
+  EXPECT_EQ(ada.spmv_count, ada.iterations * per_outer + ada.restarts +
+                                prm.m4 * (richardson_calls / prm.cycle));
 }
 
 TEST(NestedSolver, GpuSimSellConfiguration) {
   // SELL storage + SD-AINV: the Figure 2 configuration.
   auto p = prepare_problem("lap", gen::laplace2d(12, 12), true, 1.0, 1.0, 10, /*use_sell=*/true);
-  auto m = make_primary(p, PrecondKind::SdAinv);
-  const auto res = run_nested(p, m, f3r_config(Prec::FP16), f3r_termination(1e-8));
+  auto m = registry().make_precond(PrecondSpec::parse("sd-ainv"), p);
+  const auto res = Session(borrow_problem(p), SolverSpec::parse("f3r@fp16"), m).solve();
   EXPECT_TRUE(res.converged);
 }
 

@@ -1,11 +1,7 @@
-// nk::Session facade tests: shim/facade consistency (the run_* entry
-// points are one-line shims over Session since PR 5, so the MatchesLegacy*
-// tests pin that the two spellings cannot drift apart — equivalence with
-// the PRE-descriptor implementations is pinned separately by the committed
-// conformance baseline, whose rows were verified byte-identical across the
-// rewrite), per-column batched/sequential agreement through the facade,
-// workspace reuse across repeated solves, and the custom-NestedConfig
-// escape hatch.
+// nk::Session facade tests: the flat solvers driven by spec strings,
+// per-column batched/sequential agreement, workspace reuse across repeated
+// solves, the custom-NestedConfig escape hatch, and the concurrency and
+// backend-resolution contracts.
 #include <gtest/gtest.h>
 
 #include <condition_variable>
@@ -18,7 +14,7 @@
 #include <omp.h>
 #endif
 
-#include "core/runner.hpp"
+#include "core/f3r.hpp"
 #include "core/session.hpp"
 #include "support/problems.hpp"
 
@@ -39,48 +35,55 @@ PreparedProblem sym_problem() {
   return prepare_problem("s", test::laplace2d(12, 12), true, 1.0, 1.0, 2);
 }
 
-PreparedProblem nonsym_problem() {
-  return prepare_problem("n", test::scaled_convdiff2d(12, 4.0), false, 1.0, 1.0, 2);
+std::shared_ptr<PrimaryPrecond> make_m(const PreparedProblem& p, const char* spec) {
+  return registry().make_precond(PrecondSpec::parse(spec), p);
 }
 
-TEST(Session, MatchesLegacyRunCgExactly) {
-  const auto p = sym_problem();
-  auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 2);
-  const auto legacy = run_cg(p, *m, Prec::FP16);
-  const auto via_session =
-      Session(p, SolverSpec::parse("cg@fp16"), borrow_precond(*m)).solve();
-  EXPECT_EQ(via_session.solver, "fp16-CG");
-  EXPECT_EQ(via_session.solver, legacy.solver);
-  EXPECT_EQ(via_session.iterations, legacy.iterations);
-  EXPECT_EQ(via_session.converged, legacy.converged);
-  EXPECT_DOUBLE_EQ(via_session.final_relres, legacy.final_relres);
-  EXPECT_EQ(via_session.history.size(), legacy.history.size());
+TEST(Runner, CgReportsAccurateMetadata) {
+  const auto p = prepare_problem("s", test::laplace2d(12, 12), true, 1.0, 1.0, 2);
+  const auto res = Session(p, SolverSpec::parse("cg;nblocks=2")).solve();
+  EXPECT_TRUE(res.converged);
+  EXPECT_EQ(res.solver, "fp64-CG");
+  EXPECT_LT(res.final_relres, 1.5e-8);
+  // CG applies M once before the loop and once per iteration except the
+  // final (converged) one: total equals the iteration count.
+  EXPECT_EQ(res.precond_invocations, static_cast<std::uint64_t>(res.iterations));
+  EXPECT_GT(res.seconds, 0.0);
 }
 
-TEST(Session, MatchesLegacyFgmresAndIrGmres) {
-  const auto p = nonsym_problem();
-  auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 2);
-  const auto fg_legacy = run_fgmres_restarted(p, *m, Prec::FP32, 16);
-  const auto fg = Session(p, SolverSpec::parse("fgmres16@fp32"), borrow_precond(*m)).solve();
-  EXPECT_EQ(fg.solver, "fp32-FGMRES(16)");
-  EXPECT_EQ(fg.iterations, fg_legacy.iterations);
-  EXPECT_DOUBLE_EQ(fg.final_relres, fg_legacy.final_relres);
-
-  const auto ir_legacy = run_ir_gmres(p, *m, Prec::FP32, 8);
-  const auto ir = Session(p, SolverSpec::parse("ir-gmres8@fp32"), borrow_precond(*m)).solve();
-  EXPECT_EQ(ir.solver, "fp32-IR-GMRES(8)");
-  EXPECT_EQ(ir.iterations, ir_legacy.iterations);
-  EXPECT_DOUBLE_EQ(ir.final_relres, ir_legacy.final_relres);
+TEST(Runner, BicgstabNamesFollowStoragePrecision) {
+  const auto p = prepare_problem("n", test::laplace2d(12, 12), false, 1.0, 1.0, 3);
+  const auto r16 = Session(p, SolverSpec::parse("bicgstab@fp16;nblocks=2")).solve();
+  EXPECT_EQ(r16.solver, "fp16-BiCGStab");
+  EXPECT_TRUE(r16.converged);
 }
 
-TEST(Session, MatchesLegacyNested) {
-  const auto p = sym_problem();
-  auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 2);
-  const auto legacy = run_nested(p, m, f3r_config(Prec::FP16));
-  const auto via_spec = Session(p, SolverSpec::parse("f3r@fp16"), m).solve();
-  EXPECT_EQ(via_spec.solver, "fp16-F3R");
-  EXPECT_EQ(via_spec.iterations, legacy.iterations);
-  EXPECT_EQ(via_spec.converged, legacy.converged);
+TEST(Runner, FgmresRestartedConverges) {
+  const auto p = prepare_problem("s", test::laplace2d(12, 12), true, 1.0, 1.0, 4);
+  const auto res = Session(p, SolverSpec::parse("fgmres16@fp32;nblocks=2")).solve();
+  EXPECT_TRUE(res.converged);
+  EXPECT_EQ(res.solver, "fp32-FGMRES(16)");
+  EXPECT_EQ(res.precond_invocations, static_cast<std::uint64_t>(res.iterations));
+}
+
+TEST(Runner, FlatCapsRespected) {
+  const auto p = prepare_problem("s", test::laplace2d(16, 16), true, 1.0, 1.0, 5);
+  // Four iterations are far too few to converge.
+  const auto res = Session(p, SolverSpec::parse("cg/jacobi;max-iters=4")).solve();
+  EXPECT_FALSE(res.converged);
+  EXPECT_EQ(res.iterations, 4);
+}
+
+TEST(Runner, AllSolversAgreeOnSolutionQuality) {
+  const auto p = prepare_problem("s", test::laplace2d(12, 12), true, 1.0, 1.0, 6);
+  auto m = make_m(p, "bj;nblocks=2");
+  std::vector<SolveResult> results;
+  for (const char* spec : {"cg", "fgmres32", "f3r@fp16"})
+    results.push_back(Session(borrow_problem(p), SolverSpec::parse(spec), m).solve());
+  for (const auto& r : results) {
+    EXPECT_TRUE(r.converged) << r.solver;
+    EXPECT_LT(r.final_relres, 1.5e-8) << r.solver;
+  }
 }
 
 TEST(Session, BuildsPrecondFromSpecAlone) {
@@ -102,7 +105,7 @@ TEST(Session, SolveManyColumnsMatchSequentialSolves) {
   const auto p = sym_problem();
   const std::size_t n = p.b.size();
   const int k = 5;
-  auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 2);
+  auto m = make_m(p, "bj;nblocks=2");
   const std::vector<double> B = batch_rhs(p, k, 11);
 
   for (const char* spec : {"cg", "cg;wave=2", "cg;masked"}) {
@@ -129,7 +132,7 @@ TEST(Session, SolveManyNestedAndSequentialKindsWork) {
   const auto p = sym_problem();
   const std::size_t n = p.b.size();
   const int k = 3;
-  auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 2);
+  auto m = make_m(p, "bj;nblocks=2");
   const std::vector<double> B = batch_rhs(p, k, 11);
   for (const char* spec : {"f3r@fp16", "fgmres16"}) {
     SCOPED_TRACE(spec);
@@ -155,16 +158,14 @@ TEST(Session, RepeatedSolvesReuseTheWorkspace) {
 
 TEST(Session, CustomNestedConfigEscapeHatch) {
   const auto p = sym_problem();
-  auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 2);
+  auto m = make_m(p, "bj;nblocks=2");
   NestedConfig cfg = f3r_config(Prec::FP32);
   cfg.name = "custom-f3r";
   cfg.levels[1].inner_rtol = 0.1;  // not expressible in the spec grammar
-  const auto legacy = run_nested(p, m, cfg);
   Session s(p, cfg, f3r_termination(), m);
   const auto r = s.solve();
   EXPECT_EQ(r.solver, "custom-f3r");
-  EXPECT_EQ(r.iterations, legacy.iterations);
-  EXPECT_EQ(r.converged, legacy.converged);
+  EXPECT_TRUE(r.converged) << summarize(r);
 }
 
 TEST(Session, BorrowedProblemAvoidsCopyAndMatchesOwned) {
@@ -181,7 +182,7 @@ TEST(Session, BorrowedProblemAvoidsCopyAndMatchesOwned) {
 
 TEST(Session, BorrowedPrecondSharesInvocationCounter) {
   const auto p = sym_problem();
-  auto m = make_primary(p, PrecondKind::Jacobi);
+  auto m = make_m(p, "jacobi");
   const auto before = m->invocations();
   Session s(p, SolverSpec::parse("cg"), borrow_precond(*m));
   const auto r = s.solve();
@@ -258,7 +259,7 @@ class GatedPrimary final : public PrimaryPrecond {
 
 TEST(Session, ConcurrentSolveFailsFastNotCorrupts) {
   const auto p = sym_problem();
-  auto real = make_primary(p, PrecondKind::Jacobi);
+  auto real = make_m(p, "jacobi");
   auto gate = std::make_shared<SolveGate>();
   Session s(p, SolverSpec::parse("cg"),
             std::make_shared<GatedPrimary>(borrow_precond(*real), gate));

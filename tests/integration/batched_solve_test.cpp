@@ -19,7 +19,7 @@
 
 #include "base/env.hpp"
 #include "base/rng.hpp"
-#include "core/runner.hpp"
+#include "core/session.hpp"
 #include "core/variants.hpp"
 #include "krylov/bicgstab.hpp"
 #include "krylov/cg.hpp"
@@ -237,7 +237,7 @@ TEST(BatchedSolve, RichardsonApplyManyPreservesInvocationOrder) {
 TEST(BatchedSolve, NestedF3rFp64ExactColumnAgreement) {
   SingleThreadGuard guard;
   auto p = prepare_standin("hpcg_4_4_4", 1);
-  auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 4);
+  auto m = registry().make_precond(PrecondSpec::parse("bj;nblocks=4"), p);
   const std::size_t n = p.b.size();
   const int k = 3;
   const auto B = make_batch(n, k, 61);
@@ -274,26 +274,26 @@ TEST(BatchedSolve, F3rVariantsConvergePerColumn) {
   // construction; assert the meaningful contract — every column of the
   // batch converges to the same tolerance its sequential counterpart does.
   auto p = prepare_standin("hpcg_4_4_4", 1);
-  auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 4);
+  auto m = registry().make_precond(PrecondSpec::parse("bj;nblocks=4"), p);
   const std::size_t n = p.b.size();
   const int k = 3;
   const auto B = batch_rhs(p, k);
   std::vector<double> X(n * k, 0.0);
 
-  for (const Prec lowest : {Prec::FP32, Prec::FP16}) {
+  for (const char* spec : {"f3r@fp32", "f3r@fp16"}) {
     std::fill(X.begin(), X.end(), 0.0);
-    const auto many = run_nested_many(p, m, f3r_config(lowest),
-                                      std::span<const double>(B), std::span<double>(X), k);
+    const auto many = Session(borrow_problem(p), SolverSpec::parse(spec), m)
+                          .solve_many(std::span<const double>(B), std::span<double>(X), k);
     for (int c = 0; c < k; ++c) {
-      EXPECT_TRUE(test::converged(many[c])) << f3r_name(lowest) << " c=" << c;
-      EXPECT_LT(many[c].final_relres, 1.5e-8) << f3r_name(lowest) << " c=" << c;
+      EXPECT_TRUE(test::converged(many[c])) << spec << " c=" << c;
+      EXPECT_LT(many[c].final_relres, 1.5e-8) << spec << " c=" << c;
     }
   }
   // Table 4 ablation variants, k = 2 (they share the same machinery).
   for (const auto& name : variant_names()) {
     std::fill(X.begin(), X.end(), 0.0);
-    const auto many = run_nested_many(p, m, variant_config(name),
-                                      std::span<const double>(B), std::span<double>(X), 2);
+    const auto many = Session(borrow_problem(p), SolverSpec::parse(name), m)
+                          .solve_many(std::span<const double>(B), std::span<double>(X), 2);
     for (int c = 0; c < 2; ++c) {
       EXPECT_TRUE(test::converged(many[c])) << name << " c=" << c;
       EXPECT_LT(many[c].final_relres, 1.5e-8) << name << " c=" << c;
@@ -736,8 +736,8 @@ TEST(BatchedSolve, WorkspaceReuseAcrossTwoMatricesNoRealloc) {
   auto p1 = prepare_standin("hpcg_4_4_4", 1);
   auto p2 = prepare_standin("hpgmp_4_4_4", 1);
   ASSERT_EQ(p1.b.size(), p2.b.size());
-  auto m1 = make_primary(p1, PrecondKind::BlockJacobiIluIc, 4);
-  auto m2 = make_primary(p2, PrecondKind::BlockJacobiIluIc, 4);
+  auto m1 = registry().make_precond(PrecondSpec::parse("bj;nblocks=4"), p1);
+  auto m2 = registry().make_precond(PrecondSpec::parse("bj;nblocks=4"), p2);
   const std::size_t n = p1.b.size();
   const int k = 2;
   const auto B = batch_rhs(p1, k);

@@ -3,7 +3,8 @@
 // singular matrices, unscaled systems, absurd parameters.
 #include <gtest/gtest.h>
 
-#include "core/runner.hpp"
+#include "core/f3r.hpp"
+#include "core/session.hpp"
 #include "sparse/gen/laplace.hpp"
 #include "sparse/gen/random_matrix.hpp"
 
@@ -21,8 +22,8 @@ TEST(FailureInjection, UnscaledHugeValuesOverflowFp16ButAreDetected) {
   p.a = std::make_shared<MultiPrecMatrix>(std::move(a));  // NOTE: no scaling
   p.b.assign(static_cast<std::size_t>(p.a->size()), 1.0);
 
-  auto m = make_primary(p, PrecondKind::Jacobi);
-  const auto res = run_nested(p, m, f3r_config(Prec::FP16), f3r_termination(1e-8));
+  auto m = registry().make_precond(PrecondSpec::parse("jacobi"), p);
+  const auto res = Session(borrow_problem(p), SolverSpec::parse("f3r@fp16"), m).solve();
   if (res.converged) {
     EXPECT_LT(res.final_relres, 1e-8);  // honest claim or no claim
   } else {
@@ -46,17 +47,17 @@ TEST(FailureInjection, SingularMatrixDoesNotCrashAnySolver) {
   p.a = std::make_shared<MultiPrecMatrix>(std::move(a));
   p.b.assign(16, 1.0);
 
-  auto m = make_primary(p, PrecondKind::Jacobi);
-  FlatSolverCaps caps;
-  caps.max_iters = 50;
+  auto m = registry().make_precond(PrecondSpec::parse("jacobi"), p);
   EXPECT_NO_THROW({
-    const auto r1 = run_bicgstab(p, *m, Prec::FP64, caps);
+    const auto r1 =
+        Session(borrow_problem(p), SolverSpec::parse("bicgstab;max-iters=50"), m).solve();
     EXPECT_FALSE(r1.converged);
-    const auto r2 = run_fgmres_restarted(p, *m, Prec::FP64, 8, caps);
+    const auto r2 =
+        Session(borrow_problem(p), SolverSpec::parse("fgmres8;max-iters=50"), m).solve();
     EXPECT_FALSE(r2.converged);
     Termination t = f3r_termination(1e-8);
     t.max_restarts = 1;
-    const auto r3 = run_nested(p, m, f3r_config(Prec::FP16), t);
+    const auto r3 = Session(borrow_problem(p), f3r_config(Prec::FP16), t, m).solve();
     EXPECT_FALSE(r3.converged);
   });
 }
@@ -66,13 +67,13 @@ TEST(FailureInjection, HardProblemHitsRestartCapWithoutHanging) {
   // a tiny outer space: F3R must stop after max_restarts cycles.
   auto p = prepare_standin("stokes", 1);
   // Deliberately weak preconditioner:
-  auto m = make_primary(p, PrecondKind::Jacobi);
+  auto m = registry().make_precond(PrecondSpec::parse("jacobi"), p);
   F3rParams prm;
   prm.m1 = 4;  // tiny outer space to force restarts
   Termination t;
   t.rtol = 1e-300;  // unreachable: forces the restart path
   t.max_restarts = 2;
-  const auto res = run_nested(p, m, f3r_config(Prec::FP16, prm), t);
+  const auto res = Session(borrow_problem(p), f3r_config(Prec::FP16, prm), t, m).solve();
   EXPECT_FALSE(res.converged);
   EXPECT_LE(res.iterations, 3 * 4);
   // Either all restarts were used or the solve aborted earlier on a
@@ -84,11 +85,11 @@ TEST(FailureInjection, HardProblemHitsRestartCapWithoutHanging) {
 TEST(FailureInjection, ZeroRhsAllSolvers) {
   auto p = prepare_standin("hpcg_4_4_4", 1);
   std::fill(p.b.begin(), p.b.end(), 0.0);
-  auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 4);
-  const auto r1 = run_cg(p, *m, Prec::FP64);
+  auto m = registry().make_precond(PrecondSpec::parse("bj;nblocks=4"), p);
+  const auto r1 = Session(borrow_problem(p), SolverSpec::parse("cg"), m).solve();
   EXPECT_TRUE(r1.converged);
   EXPECT_EQ(r1.iterations, 0);
-  const auto r2 = run_nested(p, m, f3r_config(Prec::FP16));
+  const auto r2 = Session(borrow_problem(p), SolverSpec::parse("f3r@fp16"), m).solve();
   EXPECT_TRUE(r2.converged);
 }
 
@@ -101,10 +102,7 @@ TEST(FailureInjection, NearSingularPreconditionerPivotsClamped) {
   o.seed = 13;
   auto p = prepare_problem("weak", gen::random_sparse(o), false, 1.0, 1.0, 3);
   EXPECT_NO_THROW({
-    auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 4);
-    FlatSolverCaps caps;
-    caps.max_iters = 200;
-    const auto res = run_bicgstab(p, *m, Prec::FP64, caps);
+    const auto res = Session(p, "bicgstab;nblocks=4;max-iters=200").solve();
     (void)res;  // may or may not converge; must not throw or NaN-crash
   });
 }
@@ -123,16 +121,15 @@ TEST(FailureInjection, TinyProblems) {
     p.symmetric = true;
     p.a = std::make_shared<MultiPrecMatrix>(std::move(a));
     p.b.assign(static_cast<std::size_t>(n), 1.0);
-    auto m = make_primary(p, PrecondKind::Jacobi);
-    const auto res = run_nested(p, m, f3r_config(Prec::FP16));
+    auto m = registry().make_precond(PrecondSpec::parse("jacobi"), p);
+    const auto res = Session(borrow_problem(p), SolverSpec::parse("f3r@fp16"), m).solve();
     EXPECT_TRUE(res.converged) << "n=" << n;
   }
 }
 
 TEST(FailureInjection, ManyBlocksExceedingRows) {
   auto p = prepare_problem("s", gen::laplace2d(4, 4), true, 1.0, 1.0, 4);
-  auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 1000);  // > n rows
-  const auto res = run_cg(p, *m, Prec::FP64);
+  const auto res = Session(p, "cg;nblocks=1000").solve();  // more blocks than rows
   EXPECT_TRUE(res.converged);
 }
 

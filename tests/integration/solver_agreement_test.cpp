@@ -6,7 +6,7 @@
 #include <string>
 #include <tuple>
 
-#include "core/runner.hpp"
+#include "core/session.hpp"
 #include "core/variants.hpp"
 #include "support/solver_checks.hpp"
 
@@ -20,21 +20,12 @@ class SolverAgreement : public ::testing::TestWithParam<std::tuple<std::string, 
 TEST_P(SolverAgreement, AllFamiliesConvergeTo1em8) {
   const auto& [name, gpu_sim] = GetParam();
   auto p = prepare_standin(name, 1, 7, gpu_sim);
-  auto m = make_primary(p, gpu_sim ? PrecondKind::SdAinv : PrecondKind::BlockJacobiIluIc,
-                        gpu_sim ? 0 : 4);
-
-  FlatSolverCaps caps;
-  caps.max_iters = 8000;
+  auto m = registry().make_precond(PrecondSpec::parse(gpu_sim ? "sd-ainv" : "bj;nblocks=4"), p);
 
   std::vector<SolveResult> results;
-  results.push_back(run_nested(p, m, f3r_config(Prec::FP64)));
-  results.push_back(run_nested(p, m, f3r_config(Prec::FP32)));
-  results.push_back(run_nested(p, m, f3r_config(Prec::FP16)));
-  if (p.symmetric)
-    results.push_back(run_cg(p, *m, Prec::FP64, caps));
-  else
-    results.push_back(run_bicgstab(p, *m, Prec::FP64, caps));
-  results.push_back(run_fgmres_restarted(p, *m, Prec::FP64, 64, caps));
+  for (const char* spec : {"f3r@fp64", "f3r@fp32", "f3r@fp16", "krylov;max-iters=8000",
+                           "fgmres64;max-iters=8000"})
+    results.push_back(Session(borrow_problem(p), SolverSpec::parse(spec), m).solve());
 
   for (const auto& r : results) {
     EXPECT_TRUE(test::converged(r)) << name << " " << r.solver;
@@ -54,9 +45,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(SolverAgreementExtra, Table4VariantsSolveHpcg) {
   auto p = prepare_standin("hpcg_4_4_4", 1);
-  auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 4);
+  auto m = registry().make_precond(PrecondSpec::parse("bj;nblocks=4"), p);
   for (const auto& name : variant_names()) {
-    const auto res = run_nested(p, m, variant_config(name), f3r_termination(1e-8));
+    const auto res = Session(borrow_problem(p), SolverSpec::parse(name), m).solve();
     EXPECT_TRUE(test::converged(res)) << name;
     EXPECT_LT(res.final_relres, 1e-8) << name;
   }
@@ -66,10 +57,10 @@ TEST(SolverAgreementExtra, PrecondStoragePrecisionSweepCg) {
   // fp64/fp32/fp16-CG all converge with nearly identical iteration counts
   // on a well-scaled SPD problem (the paper's Figure 1 observation).
   auto p = prepare_standin("hpcg_4_4_4", 1);
-  auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 4);
-  const auto r64 = run_cg(p, *m, Prec::FP64);
-  const auto r32 = run_cg(p, *m, Prec::FP32);
-  const auto r16 = run_cg(p, *m, Prec::FP16);
+  auto m = registry().make_precond(PrecondSpec::parse("bj;nblocks=4"), p);
+  const auto r64 = Session(borrow_problem(p), SolverSpec::parse("cg@fp64"), m).solve();
+  const auto r32 = Session(borrow_problem(p), SolverSpec::parse("cg@fp32"), m).solve();
+  const auto r16 = Session(borrow_problem(p), SolverSpec::parse("cg@fp16"), m).solve();
   EXPECT_TRUE(test::converged(r64));
   EXPECT_TRUE(test::converged(r32));
   EXPECT_TRUE(test::converged(r16));

@@ -29,7 +29,7 @@ TEST_P(CatalogSweep, GeneratesValidatesAndScales) {
 
 TEST_P(CatalogSweep, PrimaryPreconditionerConstructsWithoutFatalBreakdown) {
   auto p = prepare_standin(GetParam(), 1);
-  auto m = make_primary(p, PrecondKind::BlockJacobiIluIc, 32);
+  auto m = registry().make_precond(PrecondSpec::parse("bj;nblocks=32"), p);
   // Apply once at every storage precision; outputs must be finite.
   const auto r = random_vector<double>(p.b.size(), 3, 0.0, 1.0);
   for (Prec st : {Prec::FP64, Prec::FP32, Prec::FP16}) {

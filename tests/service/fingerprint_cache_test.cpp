@@ -6,7 +6,7 @@
 #include <atomic>
 #include <thread>
 
-#include "core/service/fingerprint.hpp"
+#include "core/fingerprint.hpp"
 #include "core/service/session_cache.hpp"
 #include "support/problems.hpp"
 

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/service/fingerprint.hpp"
+#include "core/fingerprint.hpp"
 
 namespace nk::service {
 namespace {

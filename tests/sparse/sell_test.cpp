@@ -76,7 +76,7 @@ TEST_P(SellEquivalence, ResidualMatchesCsr) {
 
 INSTANTIATE_TEST_SUITE_P(SizesChunks, SellEquivalence,
                          ::testing::Combine(::testing::Values(1, 31, 32, 33, 257),
-                                            ::testing::Values(1, 4, 32)));
+                                            ::testing::Values(1, 4, 32, 128)));
 
 TEST(Sell, HalfPrecisionSpmvMatchesCsrHalf) {
   const auto a = gen::random_sparse({.n = 300, .avg_nnz_per_row = 8.0, .seed = 5});
