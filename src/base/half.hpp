@@ -122,6 +122,9 @@ double unit_roundoff(Prec p) noexcept;
 // either they degrade to the scalar loop.  Round-to-nearest-even on both
 // directions at every width — identical results to the scalar casts, so
 // width selection is purely a speed choice and needs no dispatch gate.
+// The AVX-512 forms are the all-ones-mask `maskz` intrinsics: the same
+// instructions, without GCC 12's false "'__Y' may be used uninitialized"
+// warnings from the unmasked forms' undefined-register operand.
 // ---------------------------------------------------------------------------
 
 /// dst[i] = float(src[i]) for i < n.
@@ -130,7 +133,7 @@ inline void half_to_float_n(const half* src, float* dst, std::ptrdiff_t n) {
 #if defined(__AVX512F__)
   for (; i + 16 <= n; i += 16) {
     const __m256i h = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    _mm512_storeu_ps(dst + i, _mm512_cvtph_ps(h));
+    _mm512_storeu_ps(dst + i, _mm512_maskz_cvtph_ps(0xFFFF, h));
   }
 #endif
 #if defined(__F16C__)
@@ -147,7 +150,8 @@ inline void float_to_half_n(const float* src, half* dst, std::ptrdiff_t n) {
   std::ptrdiff_t i = 0;
 #if defined(__AVX512F__)
   for (; i + 16 <= n; i += 16) {
-    const __m256i h = _mm512_cvtps_ph(_mm512_loadu_ps(src + i), _MM_FROUND_TO_NEAREST_INT);
+    const __m256i h =
+        _mm512_maskz_cvtps_ph(0xFFFF, _mm512_loadu_ps(src + i), _MM_FROUND_TO_NEAREST_INT);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), h);
   }
 #endif
@@ -166,8 +170,9 @@ inline void round_half_n(float* x, std::ptrdiff_t n) {
   std::ptrdiff_t i = 0;
 #if defined(__AVX512F__)
   for (; i + 16 <= n; i += 16) {
-    const __m256i h = _mm512_cvtps_ph(_mm512_loadu_ps(x + i), _MM_FROUND_TO_NEAREST_INT);
-    _mm512_storeu_ps(x + i, _mm512_cvtph_ps(h));
+    const __m256i h =
+        _mm512_maskz_cvtps_ph(0xFFFF, _mm512_loadu_ps(x + i), _MM_FROUND_TO_NEAREST_INT);
+    _mm512_storeu_ps(x + i, _mm512_maskz_cvtph_ps(0xFFFF, h));
   }
 #endif
 #if defined(__F16C__)

@@ -100,19 +100,22 @@ inline void axpy_n(half a, const half* x, half* y, std::ptrdiff_t n) {
 /// Σ x[i]·y[i] accumulated in fp32 (exact half→float conversion at ZMM
 /// width, fp32 FMA, 32-lane reassociated sum).
 [[nodiscard]] inline float dot_n(const half* x, const half* y, std::ptrdiff_t n) {
+  auto cvt = [](const half* p) {
+    return _mm512_maskz_cvtph_ps(0xFFFF, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)));
+  };
   __m512 acc0 = _mm512_setzero_ps(), acc1 = _mm512_setzero_ps();
   std::ptrdiff_t i = 0;
   for (; i + 32 <= n; i += 32) {
-    const __m512i vx = _mm512_loadu_si512(x + i);
-    const __m512i vy = _mm512_loadu_si512(y + i);
-    const __m512 x0 = _mm512_cvtph_ps(_mm512_castsi512_si256(vx));
-    const __m512 x1 = _mm512_cvtph_ps(_mm512_extracti64x4_epi64(vx, 1));
-    const __m512 y0 = _mm512_cvtph_ps(_mm512_castsi512_si256(vy));
-    const __m512 y1 = _mm512_cvtph_ps(_mm512_extracti64x4_epi64(vy, 1));
-    acc0 = _mm512_fmadd_ps(x0, y0, acc0);
-    acc1 = _mm512_fmadd_ps(x1, y1, acc1);
+    acc0 = _mm512_fmadd_ps(cvt(x + i), cvt(y + i), acc0);
+    acc1 = _mm512_fmadd_ps(cvt(x + i + 16), cvt(y + i + 16), acc1);
   }
-  float s = _mm512_reduce_add_ps(_mm512_add_ps(acc0, acc1));
+  // Lane sum in _mm512_reduce_add_ps's tree order (halves, quarters,
+  // pairs), written out because GCC 12's intrinsic warns spuriously.
+  alignas(64) float l[16];
+  _mm512_store_ps(l, _mm512_add_ps(acc0, acc1));
+  float q[4];
+  for (int j = 0; j < 4; ++j) q[j] = (l[j + 12] + l[j + 4]) + (l[j + 8] + l[j]);
+  float s = (q[0] + q[2]) + (q[1] + q[3]);
   for (; i < n; ++i) s += static_cast<float>(x[i]) * static_cast<float>(y[i]);
   return s;
 }

@@ -175,7 +175,7 @@ class FgmresEngine final : public SolverEngine {
     handle->set_backend(be);
     auto op_owned = p_->a->make_operator<double>(Prec::FP64, be);
     Operator<double>& op = *op_owned;
-    FgmresSolver<double> solver(op, *handle, FgmresSolver<double>::Config{spec_.m}, ws_);
+    FgmresSolver<double> solver(op, *handle, FgmresSolver<double>::Config{.m = spec_.m}, ws_);
 
     auto res = timed_solve(*m_, name(), [&] {
       SolveResult r;
@@ -308,7 +308,7 @@ class IrGmresEngine final : public SolverEngine {
     auto op = p_->a->make_operator<VT>(spec_.prec, be);
     auto handle = m_->make_apply<VT>(eff_storage(spec_));
     handle->set_backend(be);
-    FgmresSolver<VT> inner(*op, *handle, typename FgmresSolver<VT>::Config{spec_.m}, ws_);
+    FgmresSolver<VT> inner(*op, *handle, typename FgmresSolver<VT>::Config{.m = spec_.m}, ws_);
     CsrOperator<double, double> op64(p_->a->csr_fp64(), be);
 
     SolveResult r;

@@ -150,7 +150,7 @@ NestedSolver::NestedSolver(std::shared_ptr<MultiPrecMatrix> a,
   spmv_probes_.push_back([outer_op] { return outer_op->spmv_count(); });
   owned_.push_back(std::shared_ptr<void>(std::move(op)));
   auto outer = std::make_shared<FgmresSolver<double>>(
-      *outer_op, *below, FgmresSolver<double>::Config{cfg_.levels[0].m}, ws_,
+      *outer_op, *below, FgmresSolver<double>::Config{.m = cfg_.levels[0].m}, ws_,
       ws_prefix_ + "lvl0.fgmres");
   outer_ = outer.get();
   owned_.push_back(outer);

@@ -52,7 +52,7 @@ class BiCgStabSolver {
     bool compact = true;
     /// Survivor-panel layout for the compact scheduler (see base/panel.hpp
     /// and CgSolver::Config::layout).  Unset = the workspace default.
-    std::optional<PanelLayout> layout;
+    std::optional<PanelLayout> layout{};
   };
 
   /// Deferred-setup construction (no allocation until setup()).

@@ -80,7 +80,7 @@ class CgSolver {
     /// width-na kernel streams unit-stride over exactly the active set.
     /// Unset = the workspace's panel_layout() default.  Per-column
     /// operation order is preserved — iterates are bit-identical.
-    std::optional<PanelLayout> layout;
+    std::optional<PanelLayout> layout{};
   };
 
   /// Deferred-setup construction (no allocation until setup()).

@@ -79,7 +79,7 @@ class FgmresSolver final : public Preconditioner<VT> {
     /// operator sweeps.  Unset = the workspace default.  Gather/scatter
     /// copies are exact and per-column applies are order-preserving, so
     /// iterates are bit-identical across layouts.
-    std::optional<PanelLayout> layout;
+    std::optional<PanelLayout> layout{};
   };
 
   struct RunStats {

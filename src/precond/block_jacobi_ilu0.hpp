@@ -83,10 +83,12 @@ void ilu_solve(const IluFactors<P>& f, std::span<const VT> r, std::span<VT> z,
         s -= static_cast<W>(f.vals[p]) * static_cast<W>(z[f.col_idx[p]]);
       z[i] = static_cast<VT>(s);
     }
-    // Backward: U z = y.
+    // Backward: U z = y, each row walked far-to-near so that z[i+1], the
+    // value the previous row just produced, enters the chain last (as
+    // z[i-1] does in the forward sweep) instead of gating all of it.
     for (index_t i = b1; i-- > b0;) {
       W s = static_cast<W>(z[i]);
-      for (index_t p = f.diag_pos[i] + 1; p < f.row_ptr[i + 1]; ++p)
+      for (index_t p = f.row_ptr[i + 1]; --p > f.diag_pos[i];)
         s -= static_cast<W>(f.vals[p]) * static_cast<W>(z[f.col_idx[p]]);
       z[i] = static_cast<VT>(s / static_cast<W>(f.vals[f.diag_pos[i]]));
     }
@@ -102,9 +104,9 @@ inline constexpr int kIluMaxCols = 16;
 /// chains advance in lockstep — each factor entry is loaded once and
 /// applied to every column — which turns the substitution throughput-bound
 /// in exactly the way the batched SpMM does.  Per column the operation
-/// sequence (subtractions in position order, then the divide) is
-/// ilu_solve()'s, so batched and sequential applications agree
-/// bit-for-bit.
+/// sequence (forward subtractions in position order, backward ones in
+/// reverse position order, then the divide) is ilu_solve()'s, so batched
+/// and sequential applications agree bit-for-bit.
 namespace ilu_detail {
 
 /// L selects the shared layout of the R and Z panels (see panel.hpp):
@@ -139,11 +141,11 @@ void solve_group(const IluFactors<P>& f, const VT* rg, std::ptrdiff_t ldr, VT* z
       for (int c = 0; c < kc; ++c)
         *panel_at<L>(zg, ldz, c, i) = static_cast<VT>(s[c]);
     }
-    // Backward: U z = y.
+    // Backward: U z = y, far-to-near as in ilu_solve().
     for (index_t i = b1; i-- > b0;) {
       for (int c = 0; c < kc; ++c)
         s[c] = static_cast<W>(*panel_at<L>(zg, ldz, c, i));
-      for (index_t p = f.diag_pos[i] + 1; p < f.row_ptr[i + 1]; ++p) {
+      for (index_t p = f.row_ptr[i + 1]; --p > f.diag_pos[i];) {
         const W vp = static_cast<W>(f.vals[p]);
         const VT* __restrict zc = ilv ? zg + f.col_idx[p] * ldz : zg + f.col_idx[p];
         const std::ptrdiff_t zs = ilv ? 1 : ldz;

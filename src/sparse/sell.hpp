@@ -94,9 +94,9 @@ inline constexpr int kSellSimdMaxChunk = 64;
 
 namespace sell_detail {
 
-/// Dot of one SELL lane (stride-C elements), accumulating in Acc.  Four
-/// independent partial sums break the scalar-convert dependency chain on
-/// mixed half→float reads (see spmv.hpp's row_dot note).
+/// Dot of one SELL lane (stride-C elements), accumulating in Acc.  On
+/// fp16 values with a wider accumulator, four independent partial sums
+/// keep the lane off a single add chain, as in spmv.hpp's row_dot.
 template <class MT, class XT, class Acc>
 inline Acc lane_dot(const MT* __restrict vals, const index_t* __restrict cols,
                     const XT* __restrict x, index_t base, index_t lane, index_t w, int C) {
@@ -149,9 +149,9 @@ inline void slice_sweep_simd(const MT* __restrict vals, const index_t* __restric
     for (int lane = 0; lane < C; ++lane) xb[lane] = x[cj[lane]];
     if constexpr (sizeof(MT) == 2 && !std::is_same_v<Acc, MT>) {
       // Convert the C adjacent half values in one vectorized pass; a scalar
-      // convert inside the FMA loop would serialize on its destination-
-      // register merge (see spmv.hpp's row_dot note), and GCC cannot
-      // auto-vectorize _Float16→float, hence the explicit F16C helper.
+      // convert (vcvtsh2ss) inside the FMA loop merges into its destination
+      // register, a false dependency that serializes the loop, and GCC
+      // cannot auto-vectorize _Float16→float, hence the explicit F16C helper.
       Acc vf[kSellSimdMaxChunk];
       if constexpr (std::is_same_v<Acc, float>) {
         half_to_float_n(vj, vf, C);

@@ -14,15 +14,13 @@
 // (detail::row_dot's per-row order for CSR — including its four-way fp16
 // partial-sum grouping — and the SIMD slice sweep for SELL), so batched
 // and sequential solves produce bit-identical iterates per right-hand
-// side on the fp64/fp32 CSR paths and on every SELL path.  The one
-// exception is fp16 STORAGE over CSR: both sides compute the same fp32
-// operation sequence, but the compiler's FMA-contraction freedom
-// (-ffp-contract) may fuse it differently in the two loop structures, so
-// agreement there is at fp32 rounding level, not bitwise — which is why
-// the fp16 inner levels are tolerance-checked rather than exact in the
-// batched-solve tests.  What changes is the SCHEDULE: the CSR kernel
-// walks the row's nonzeros once and updates all k per-column accumulators
-// per nonzero.
+// side.  fp16 × fp32 over CSR is bitwise where both sides spell the
+// roundings out: the AVX-512 in-register kernels, and builds without FMA.
+// On FMA targets without AVX-512 both sides run plain-loop fallbacks whose
+// FMA contraction the compiler chooses per loop structure, so agreement
+// there is at fp32 rounding level.  What changes is the SCHEDULE: the CSR
+// kernel walks the row's nonzeros once and updates all k per-column
+// accumulators per nonzero.
 // That reads A once per batch instead of k times AND — the bigger effect
 // on a single core — replaces k serial FMA dependency chains with k
 // independent accumulators advancing in lockstep, so the row dot becomes
@@ -42,6 +40,7 @@
 #pragma once
 
 #include <span>
+#include <vector>
 
 #include "base/blas1.hpp"
 #include "base/panel.hpp"
@@ -75,6 +74,42 @@ inline void row_dots(const MT* __restrict v, const index_t* __restrict ci,
   const int k = KC > 0 ? KC : k_dyn;
   constexpr bool ilv = LX == PanelLayout::kColMajor;
   const std::ptrdiff_t xs = ilv ? 1 : ldx;  // column stride at a gathered row
+#if defined(NKRYLOV_FP16_ROWS_AVX512)
+  if constexpr (std::is_same_v<MT, half> && std::is_same_v<XT, float> &&
+                std::is_same_v<Acc, float>) {
+    if constexpr (!ilv) {
+      // Row-major X: column by column through row_dot itself (spmm_csr and
+      // residual_many interleave X first when k > 1).
+      for (int c = 0; c < k; ++c) out(c, detail::row_dot<MT, XT, Acc>(v, ci, x + c * ldx, b, e));
+    } else {
+      // Interleaved X: the k values of gathered row ci[t] are contiguous,
+      // so one masked load per nonzero feeds lane (t − b) mod 4 of eight
+      // columns at once — row_dot's sequence per column, no gathers.
+      for (int c0 = 0; c0 < k; c0 += 8) {
+        const int w = std::min(8, k - c0);
+        const auto m = static_cast<__mmask8>((1u << w) - 1u);
+        auto xrow = [&](index_t t) { return _mm256_maskz_loadu_ps(m, x + ci[t] * ldx + c0); };
+        auto bcast = [&](index_t t) { return _mm256_set1_ps(static_cast<float>(v[t])); };
+        __m256 lane[4] = {_mm256_setzero_ps(), _mm256_setzero_ps(), _mm256_setzero_ps(),
+                          _mm256_setzero_ps()};
+        index_t t = b;
+        for (; t + 16 <= e; t += 16) {
+          alignas(64) float vf[16];
+          _mm512_store_ps(vf, detail::cvt16(v + t));
+          for (int j = 0; j < 16; ++j)
+            lane[j % 4] = _mm256_maskz_add_ps(
+                m, lane[j % 4], _mm256_maskz_mul_ps(m, _mm256_set1_ps(vf[j]), xrow(t + j)));
+        }
+        for (; t + 4 <= e; t += 4)
+          for (int j = 0; j < 4; ++j) lane[j] = _mm256_fmadd_ps(bcast(t + j), xrow(t + j), lane[j]);
+        for (; t < e; ++t) lane[0] = _mm256_fmadd_ps(bcast(t), xrow(t), lane[0]);
+        alignas(32) float s[4][8];
+        for (int j = 0; j < 4; ++j) _mm256_store_ps(s[j], lane[j]);
+        for (int c = 0; c < w; ++c) out(c0 + c, (s[0][c] + s[1][c]) + (s[2][c] + s[3][c]));
+      }
+    }
+  } else
+#endif
   if constexpr (sizeof(MT) == 2 && !std::is_same_v<Acc, MT>) {
     // fp16 matrix path: reproduce row_dot's four-way partial sums — lane
     // (t − b) mod 4 over the 4-aligned prefix, remainder into lane 0 —
@@ -84,7 +119,7 @@ inline void row_dots(const MT* __restrict v, const index_t* __restrict ci,
     index_t t = b;
     for (; t + 16 <= e; t += 16) {
       if constexpr (std::is_same_v<Acc, float>) {
-        half_to_float_n(v + t, vf, 16);  // conversion-exact (see row_dot)
+        half_to_float_n(v + t, vf, 16);  // conversion-exact
       } else {
         for (int j = 0; j < 16; ++j) vf[j] = static_cast<Acc>(v[t + j]);
       }
@@ -145,26 +180,66 @@ inline void dispatch_cols(int kc, Body&& body) {
 /// kernels instead of falling into the unpinned path as one ragged group.
 inline int next_group(int remaining) { return blas::greedy_group(remaining, kSpmmMaxCols); }
 
+/// True where a row-major X is interleaved before the sweep (interleave_x).
+template <class MT, class XT, class Acc>
+inline constexpr bool kInterleaveX =
+#if defined(NKRYLOV_FP16_ROWS_AVX512)
+    std::is_same_v<MT, half> && std::is_same_v<XT, float> && std::is_same_v<Acc, float>;
+#else
+    false;
+#endif
+
+/// Copy kc row-major columns of length n into an interleaved panel ((i, c)
+/// at i·kc + c).  The fp16 × fp32 row kernel then reads the kc values of a
+/// gathered row with one load instead of kc gathers, which more than pays
+/// for the copy (about 2x at k = 8 on a 27-point stencil).  The copy is
+/// exact.  The panel is per calling thread and only grows.
+inline const float* interleave_x(const float* x, std::ptrdiff_t ldx, std::ptrdiff_t n, int kc) {
+  thread_local std::vector<float> panel;
+  const std::size_t need = static_cast<std::size_t>(n) * static_cast<std::size_t>(kc);
+  if (panel.size() < need) panel.resize(need);
+  float* p = panel.data();
+#pragma omp parallel for schedule(static) if (n * kc > blas::parallel_threshold())
+  for (std::ptrdiff_t i = 0; i < n; ++i)
+    for (int c = 0; c < kc; ++c) p[i * kc + c] = x[c * ldx + i];
+  return p;
+}
+
+/// One column group of kc ≤ kSpmmMaxCols columns over every row of A;
+/// store(c, i, s) receives column c's value of row i.
+template <PanelLayout LX, class MT, class XT, class Acc, class Store>
+void sweep_group(const CsrMatrix<MT>& a, const XT* xg, std::ptrdiff_t ldx, int kc,
+                 Store&& store) {
+  if constexpr (LX == PanelLayout::kRowMajor && kInterleaveX<MT, XT, Acc>) {
+    if (kc > 1) {
+      sweep_group<PanelLayout::kColMajor, MT, XT, Acc>(
+          a, interleave_x(xg, ldx, a.ncols, kc), kc, kc, store);
+      return;
+    }
+  }
+  const std::ptrdiff_t n = a.nrows;
+  const std::ptrdiff_t work = static_cast<std::ptrdiff_t>(a.nnz()) * kc;
+  const index_t* __restrict rp = a.row_ptr.data();
+  const index_t* __restrict ci = a.col_idx.data();
+  const MT* __restrict v = a.vals.data();
+  dispatch_cols(kc, [&]<int KC>() {
+#pragma omp parallel for schedule(static) if (work > blas::parallel_threshold())
+    for (std::ptrdiff_t i = 0; i < n; ++i)
+      row_dots<MT, XT, Acc, KC, LX>(v, ci, xg, ldx, kc, rp[i], rp[i + 1],
+                                   [&](int c, Acc s) { store(c, i, s); });
+  });
+}
+
 /// Layout-pinned CSR SpMM body shared by the public spmm overloads.
 template <PanelLayout LX, PanelLayout LY, class MT, class XT, class YT, class Acc>
 void spmm_csr(const CsrMatrix<MT>& a, const XT* x, std::ptrdiff_t ldx, YT* y,
               std::ptrdiff_t ldy, int k) {
-  const std::ptrdiff_t n = a.nrows;
-  const std::ptrdiff_t work = static_cast<std::ptrdiff_t>(a.nnz()) * std::max(k, 1);
-  const index_t* __restrict rp = a.row_ptr.data();
-  const index_t* __restrict ci = a.col_idx.data();
-  const MT* __restrict v = a.vals.data();
   for (int c0 = 0; c0 < k;) {
     const int kc = next_group(k - c0);
     const XT* xg = LX == PanelLayout::kColMajor ? x + c0 : x + static_cast<std::ptrdiff_t>(c0) * ldx;
     YT* yg = LY == PanelLayout::kColMajor ? y + c0 : y + static_cast<std::ptrdiff_t>(c0) * ldy;
-    dispatch_cols(kc, [&]<int KC>() {
-#pragma omp parallel for schedule(static) if (work > blas::parallel_threshold())
-      for (std::ptrdiff_t i = 0; i < n; ++i)
-        row_dots<MT, XT, Acc, KC, LX>(
-            v, ci, xg, ldx, kc, rp[i], rp[i + 1], [&](int c, Acc s) {
-              *panel_at<LY>(yg, ldy, c, i) = static_cast<YT>(s);
-            });
+    sweep_group<LX, MT, XT, Acc>(a, xg, ldx, kc, [&](int c, std::ptrdiff_t i, Acc s) {
+      *panel_at<LY>(yg, ldy, c, i) = static_cast<YT>(s);
     });
     c0 += kc;
   }
@@ -194,25 +269,16 @@ template <class MT, class XT, class BT, class YT,
           class Acc = promote_t<promote_t<MT, XT>, BT>>
 void residual_many(const CsrMatrix<MT>& a, const XT* x, std::ptrdiff_t ldx, const BT* b,
                    std::ptrdiff_t ldb, YT* y, std::ptrdiff_t ldy, int k) {
-  const std::ptrdiff_t n = a.nrows;
-  const std::ptrdiff_t work = static_cast<std::ptrdiff_t>(a.nnz()) * std::max(k, 1);
-  const index_t* __restrict rp = a.row_ptr.data();
-  const index_t* __restrict ci = a.col_idx.data();
-  const MT* __restrict v = a.vals.data();
   for (int c0 = 0; c0 < k;) {
     const int kc = spmm_detail::next_group(k - c0);
-    const XT* xg = x + static_cast<std::ptrdiff_t>(c0) * ldx;
     const BT* bg = b + static_cast<std::ptrdiff_t>(c0) * ldb;
     YT* yg = y + static_cast<std::ptrdiff_t>(c0) * ldy;
-    spmm_detail::dispatch_cols(kc, [&]<int KC>() {
-#pragma omp parallel for schedule(static) if (work > blas::parallel_threshold())
-      for (std::ptrdiff_t i = 0; i < n; ++i)
-        spmm_detail::row_dots<MT, XT, Acc, KC>(
-            v, ci, xg, ldx, kc, rp[i], rp[i + 1], [&](int c, Acc s) {
-              yg[static_cast<std::ptrdiff_t>(c) * ldy + i] = static_cast<YT>(
-                  static_cast<Acc>(bg[static_cast<std::ptrdiff_t>(c) * ldb + i]) - s);
-            });
-    });
+    spmm_detail::sweep_group<PanelLayout::kRowMajor, MT, XT, Acc>(
+        a, x + static_cast<std::ptrdiff_t>(c0) * ldx, ldx, kc,
+        [&](int c, std::ptrdiff_t i, Acc s) {
+          yg[static_cast<std::ptrdiff_t>(c) * ldy + i] =
+              static_cast<YT>(static_cast<Acc>(bg[static_cast<std::ptrdiff_t>(c) * ldb + i]) - s);
+        });
     c0 += kc;
   }
 }

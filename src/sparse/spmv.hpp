@@ -13,25 +13,77 @@
 // would (GCC rounds each _Float16 operation to binary16).
 #pragma once
 
+#include <cmath>
 #include <span>
 
 #include "base/blas1.hpp"
 #include "sparse/csr.hpp"
 
+// The fp16 × fp32 row kernels here and in spmm.hpp run in AVX-512
+// registers when the build targets the ISA, and as plain loops with the
+// same association otherwise.  The choice is made at build time only.
+#if defined(__AVX512F__) && defined(__AVX512VL__) && defined(__FMA__)
+#define NKRYLOV_FP16_ROWS_AVX512 1
+#endif
+
 namespace nk {
 
 namespace detail {
 
+#if defined(NKRYLOV_FP16_ROWS_AVX512)
+// The AVX-512 row kernels use the masked intrinsic forms with an all-ones
+// mask: they compile to the plain instructions, but unlike the unmasked
+// forms they neither read an undefined register (GCC 12 warns) nor expose
+// a multiply to FMA contraction, so the roundings are the ones written.
+inline constexpr __mmask16 kAll16 = 0xFFFF;
+
+/// float(v[j]) for 16 consecutive halves (shared with spmm.hpp).
+inline __m512 cvt16(const half* v) {
+  return _mm512_maskz_cvtph_ps(kAll16, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v)));
+}
+#endif
+
 /// Dot of one CSR row with a gathered vector, accumulating in Acc.
 ///
-/// The half→float fast path matters: a naive `(float)v[k] * x[ci[k]]` loop
-/// emits scalar `vcvtsh2ss` whose destination-register merge creates a
-/// false serial dependency across iterations (~2x slower than fp64!).
-/// Converting a 16-value chunk first (vectorizable `vcvtph2ps`) and
-/// accumulating into four independent partial sums breaks the chain.
+/// fp16 values with a wider accumulator keep four partial sums s0..s3:
+/// 16-value chunks add each rounded product v·x to lane j mod 4, 4-value
+/// chunks fuse it into lane j, leftover values fuse into s0, and the row
+/// value is (s0 + s1) + (s2 + s3).  Independent lanes keep the row off a
+/// single add chain.  For fp16 × fp32 on AVX-512 each chunk is converted
+/// (vcvtph2ps), gathered (vgatherdps) and multiplied in registers: staging
+/// the converted values in a stack array for scalar gathered multiply-adds
+/// runs the kernel about 2x slower.  The plain loop below is the fallback
+/// for builds without the ISA; it has the same association, and the
+/// compiler picks its fusing.  spmv_fp16_rows_test pins the bits.
 template <class MT, class XT, class Acc>
 inline Acc row_dot(const MT* __restrict v, const index_t* __restrict ci,
                    const XT* __restrict x, index_t begin, index_t end) {
+#if defined(NKRYLOV_FP16_ROWS_AVX512)
+  if constexpr (std::is_same_v<MT, half> && std::is_same_v<XT, float> &&
+                std::is_same_v<Acc, float>) {
+    __m128 s = _mm_setzero_ps();  // s0..s3
+    index_t k = begin;
+    for (; k + 16 <= end; k += 16) {
+      const __m512 xg =
+          _mm512_mask_i32gather_ps(_mm512_setzero_ps(), kAll16, _mm512_loadu_si512(ci + k), x, 4);
+      const __m512 p = _mm512_maskz_mul_ps(kAll16, cvt16(v + k), xg);
+      s = _mm_add_ps(s, _mm512_maskz_extractf32x4_ps(0xF, p, 0));
+      s = _mm_add_ps(s, _mm512_maskz_extractf32x4_ps(0xF, p, 1));
+      s = _mm_add_ps(s, _mm512_maskz_extractf32x4_ps(0xF, p, 2));
+      s = _mm_add_ps(s, _mm512_maskz_extractf32x4_ps(0xF, p, 3));
+    }
+    for (; k + 4 <= end; k += 4) {
+      const __m128 vf = _mm_cvtph_ps(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(v + k)));
+      const __m128 xg =
+          _mm_i32gather_ps(x, _mm_loadu_si128(reinterpret_cast<const __m128i*>(ci + k)), 4);
+      s = _mm_fmadd_ps(vf, xg, s);
+    }
+    alignas(16) float l[4];
+    _mm_store_ps(l, s);
+    for (; k < end; ++k) l[0] = std::fma(static_cast<float>(v[k]), x[ci[k]], l[0]);
+    return (l[0] + l[1]) + (l[2] + l[3]);
+  } else
+#endif
   if constexpr (sizeof(MT) == 2 && !std::is_same_v<Acc, MT>) {
     Acc vf[16];
     Acc s0{0}, s1{0}, s2{0}, s3{0};

@@ -124,6 +124,37 @@ TEST(Ic0, CastHandlesAgree) {
   for (index_t i = 0; i < a.nrows; ++i) EXPECT_NEAR(z16[i], z64[i], 0.05 * ref);
 }
 
+TEST(Ic0, ApplyMatchesReferenceSubstitutionAtEveryStorage) {
+  // Textbook substitution on the fp64 factors, both sweeps in ascending
+  // position order; the apply handles walk the backward rows far-to-near,
+  // which moves rounding only.
+  auto a = test::scaled_hpcg(3);
+  BlockJacobiIc0 m(a, {.nblocks = 4, .alpha = 1.0});
+  const auto& f = m.factors_fp64();
+  const auto r = random_vector<double>(a.nrows, 9, 0.0, 1.0);
+  std::vector<double> ref(r);
+  for (index_t i = 0; i < f.n; ++i) {
+    const index_t d = f.l_row_ptr[i + 1] - 1;
+    for (index_t p = f.l_row_ptr[i]; p < d; ++p) ref[i] -= f.l_val[p] * ref[f.l_col[p]];
+    ref[i] /= f.l_val[d];
+  }
+  for (index_t i = f.n; i-- > 0;) {
+    const index_t d = f.lt_row_ptr[i];
+    for (index_t p = d + 1; p < f.lt_row_ptr[i + 1]; ++p) ref[i] -= f.lt_val[p] * ref[f.lt_col[p]];
+    ref[i] /= f.lt_val[d];
+  }
+  // Ic0.CastHandlesAgree's bound for reduced storage; fp64 storage only
+  // reorders roundings.
+  const double zmax = blas::nrm_inf(std::span<const double>(ref));
+  for (Prec storage : {Prec::FP64, Prec::FP32, Prec::FP16}) {
+    std::vector<double> z(a.nrows);
+    m.make_apply_fp64(storage)->apply(r, std::span<double>(z));
+    const double tol = (storage == Prec::FP64 ? 1e-12 : 0.05) * zmax;
+    for (index_t i = 0; i < a.nrows; ++i)
+      ASSERT_NEAR(z[i], ref[i], tol) << prec_name(storage) << " row " << i;
+  }
+}
+
 TEST(Ic0, InvocationCounting) {
   const auto a = spd_tridiag(8, 3.0);
   BlockJacobiIc0 m(a, {.nblocks = 1, .alpha = 1.0});

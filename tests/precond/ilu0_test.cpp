@@ -1,6 +1,8 @@
 // Tests for block-Jacobi ILU(0).
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "base/rng.hpp"
 #include "precond/block_jacobi_ilu0.hpp"
 #include "sparse/gen/random_matrix.hpp"
@@ -151,6 +153,68 @@ TEST(Ilu0, CastStorageCloseToFp64Apply) {
   EXPECT_LT(e32, 1e-4 * n64);
   EXPECT_LT(e16, 2e-2 * n64);
   EXPECT_GT(e16, 0.0);  // fp16 storage really is coarser
+}
+
+TEST(Ilu0, ApplyMatchesReferenceSubstitutionAtEveryStorage) {
+  // Textbook substitution on the fp64 factors, both sweeps in ascending
+  // position order; the apply handles walk the backward rows far-to-near,
+  // which moves rounding only.  Bounds: Ilu0.CastStorageCloseToFp64Apply's.
+  auto a = test::scaled_hpcg(3);
+  BlockJacobiIlu0 m(a, {.nblocks = 4, .alpha = 1.0});
+  const auto& f = m.factors_fp64();
+  const auto r = random_vector<double>(a.nrows, 5, 0.0, 1.0);
+  std::vector<double> ref(r);
+  for (index_t i = 0; i < f.n; ++i)
+    for (index_t p = f.row_ptr[i]; p < f.diag_pos[i]; ++p)
+      ref[i] -= f.vals[p] * ref[f.col_idx[p]];
+  for (index_t i = f.n; i-- > 0;) {
+    for (index_t p = f.diag_pos[i] + 1; p < f.row_ptr[i + 1]; ++p)
+      ref[i] -= f.vals[p] * ref[f.col_idx[p]];
+    ref[i] /= f.vals[f.diag_pos[i]];
+  }
+  const double n64 = blas::nrm2(std::span<const double>(ref));
+  for (auto [storage, tol] : {std::pair{Prec::FP64, 1e-12}, std::pair{Prec::FP32, 1e-4},
+                              std::pair{Prec::FP16, 2e-2}}) {
+    std::vector<double> z(a.nrows);
+    m.make_apply_fp64(storage)->apply(r, std::span<double>(z));
+    for (index_t i = 0; i < a.nrows; ++i)
+      ASSERT_NEAR(z[i], ref[i], tol * n64) << prec_name(storage) << " row " << i;
+  }
+}
+
+/// ilu_solve_many against ilu_solve column by column, bit for bit, in both
+/// panel layouts; k = 19 runs a 16- and a 3-column group.
+template <class P, class VT>
+void check_solve_many_matches_solve(const IluFactors<P>& f) {
+  const int k = 19;
+  const std::ptrdiff_t n = f.n;
+  const auto r = random_vector<VT>(static_cast<std::size_t>(n * k), 11, 0.0, 1.0);
+  for (PanelLayout layout : {PanelLayout::kRowMajor, PanelLayout::kColMajor}) {
+    const std::ptrdiff_t ld = layout == PanelLayout::kColMajor ? k : n;
+    std::vector<VT> z(r.size());
+    ilu_solve_many(f, r.data(), ld, z.data(), ld, k, layout);
+    for (int c = 0; c < k; ++c) {
+      std::vector<VT> rc(static_cast<std::size_t>(n)), zc(rc.size());
+      for (std::ptrdiff_t i = 0; i < n; ++i) rc[i] = *panel_at(r.data(), ld, layout, c, i);
+      ilu_solve(f, std::span<const VT>(rc), std::span<VT>(zc));
+      for (std::ptrdiff_t i = 0; i < n; ++i)
+        ASSERT_EQ(static_cast<double>(*panel_at(z.data(), ld, layout, c, i)),
+                  static_cast<double>(zc[i]))
+            << "column " << c << " row " << i << " colmajor=" << (layout == PanelLayout::kColMajor);
+    }
+  }
+}
+
+TEST(Ilu0, SolveManyMatchesSolvePerColumnBitwise) {
+  auto a = test::scaled_hpcg(3);
+  BlockJacobiIlu0 m(a, {.nblocks = 4, .alpha = 1.0});
+  const auto& f64 = m.factors_fp64();
+  const auto f32 = cast_factors<float>(f64);
+  const auto f16 = cast_factors<half>(f64);
+  check_solve_many_matches_solve<double, double>(f64);
+  check_solve_many_matches_solve<float, float>(f32);
+  check_solve_many_matches_solve<half, float>(f16);
+  check_solve_many_matches_solve<half, half>(f16);
 }
 
 TEST(Ilu0, InvocationCounterSharedAcrossHandles) {

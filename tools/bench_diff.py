@@ -55,17 +55,20 @@ FP16_PAIRS = [
     ("dot_fp16_avx512fp16", "dot_fp16"),
 ]
 
-# Backend-tagged kernel records: the serial reference backend's cost over
-# the host backend's, for the same kern::Kernels call.  The ratio mostly
-# measures how much the host's OpenMP/SIMD paths buy on the bench box, so
-# it gets the generous micro-pair tolerance.  These records are SOFT:
-# absent from either file (e.g. a committed baseline predating the backend
-# seam, or a bench built without the seam) the pair is skipped with a note
-# instead of tripping the rename/drop hard error.
+# Backend-tagged kernel records: the host backend's cost over the serial
+# reference backend's, for the same kern::Kernels call.  The host kernel is
+# the one under test and the serial loop the yardstick, so the gate fails
+# when the host gets slower relative to it (a faster host kernel lowers the
+# ratio).  The ratio mostly measures how much the host's OpenMP/SIMD paths
+# buy on the bench box, so it gets the generous micro-pair tolerance.
+# These records are SOFT: absent from either file (e.g. a committed
+# baseline predating the backend seam, or a bench built without the seam)
+# the pair is skipped with a note instead of tripping the rename/drop hard
+# error.
 BACKEND_PAIRS = [
-    ("backend_serial_spmv_csr_{p}", "backend_host_spmv_csr_{p}"),
-    ("backend_serial_spmm_csr_{p}_k8", "backend_host_spmm_csr_{p}_k8"),
-    ("backend_serial_dot_cols_{p}_k8", "backend_host_dot_cols_{p}_k8"),
+    ("backend_host_spmv_csr_{p}", "backend_serial_spmv_csr_{p}"),
+    ("backend_host_spmm_csr_{p}_k8", "backend_serial_spmm_csr_{p}_k8"),
+    ("backend_host_dot_cols_{p}_k8", "backend_serial_dot_cols_{p}_k8"),
 ]
 BACKEND_PRECISIONS = ["fp64", "fp32", "fp16_fp32"]
 
@@ -313,6 +316,17 @@ def self_test():
     for name in ("auto_vs_best_fixed_work", "auto_vs_best_fixed_ref"):
         del pre_auto[name]
     expect("auto records absent from baseline skip", diff(synthetic(), pre_auto, 0.25), 0)
+
+    # Backend pairs gate the host kernel against the serial yardstick: a
+    # slower host fails, a faster host passes.
+    host_slow = synthetic()
+    host_slow["backend_host_spmv_csr_fp16_fp32"] = dict(
+        host_slow["backend_host_spmv_csr_fp16_fp32"], seconds=1.0)
+    expect("host backend slowdown fails", diff(host_slow, synthetic(), 0.25), 1)
+    host_fast = synthetic()
+    host_fast["backend_host_spmv_csr_fp16_fp32"] = dict(
+        host_fast["backend_host_spmv_csr_fp16_fp32"], seconds=0.1)
+    expect("host backend speedup passes", diff(host_fast, synthetic(), 0.25), 0)
 
     renamed = synthetic()
     del renamed["dot_cols_fp16_k8"]
