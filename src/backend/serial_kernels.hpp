@@ -32,7 +32,6 @@
 #include <span>
 
 #include "base/blas1.hpp"
-#include "base/panel.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/sell.hpp"
 
@@ -194,21 +193,19 @@ void scal_copy(S alpha, std::span<const TX> x, std::span<TY> y) {
     y[i] = static_cast<TY>(a * static_cast<W>(x[i]));
 }
 
-/// out[c] = x_cᵀ·y_c per unmasked column — plain chains, layout-addressed.
+/// out[c] = x_cᵀ·y_c per unmasked column — plain chains.
 template <class TX, class TY>
 void dot_cols(const TX* x, std::ptrdiff_t ldx, const TY* y, std::ptrdiff_t ldy, int k,
               std::size_t n, acc_t<promote_t<TX, TY>>* out,
-              const unsigned char* active = nullptr,
-              PanelLayout lx = PanelLayout::kRowMajor,
-              PanelLayout ly = PanelLayout::kRowMajor) {
+              const unsigned char* active = nullptr) {
   using W = acc_t<promote_t<TX, TY>>;
   const std::ptrdiff_t nn = static_cast<std::ptrdiff_t>(n);
   for (int c = 0; c < k; ++c) {
     if (active != nullptr && !active[c]) continue;
+    const TX* xc = x + static_cast<std::ptrdiff_t>(c) * ldx;
+    const TY* yc = y + static_cast<std::ptrdiff_t>(c) * ldy;
     W s{0};
-    for (std::ptrdiff_t i = 0; i < nn; ++i)
-      s += static_cast<W>(*panel_at(x, ldx, lx, c, i)) *
-           static_cast<W>(*panel_at(y, ldy, ly, c, i));
+    for (std::ptrdiff_t i = 0; i < nn; ++i) s += static_cast<W>(xc[i]) * static_cast<W>(yc[i]);
     out[c] = s;
   }
 }
@@ -216,15 +213,15 @@ void dot_cols(const TX* x, std::ptrdiff_t ldx, const TY* y, std::ptrdiff_t ldy, 
 /// out[c] = ‖x_c‖₂ per unmasked column (double-rounded sqrt store).
 template <class T>
 void nrm2_cols(const T* x, std::ptrdiff_t ldx, int k, std::size_t n, acc_t<T>* out,
-               const unsigned char* active = nullptr,
-               PanelLayout lx = PanelLayout::kRowMajor) {
+               const unsigned char* active = nullptr) {
   using W = acc_t<T>;
   const std::ptrdiff_t nn = static_cast<std::ptrdiff_t>(n);
   for (int c = 0; c < k; ++c) {
     if (active != nullptr && !active[c]) continue;
+    const T* xc = x + static_cast<std::ptrdiff_t>(c) * ldx;
     W s{0};
     for (std::ptrdiff_t i = 0; i < nn; ++i) {
-      const W v = static_cast<W>(*panel_at(x, ldx, lx, c, i));
+      const W v = static_cast<W>(xc[i]);
       s += v * v;
     }
     out[c] = static_cast<W>(std::sqrt(static_cast<double>(s)));
@@ -236,20 +233,16 @@ void nrm2_cols(const T* x, std::ptrdiff_t ldx, int k, std::size_t n, acc_t<T>* o
 template <class TX, class TY, class S>
 void axpy_cols(const S* alpha, const TX* x, std::ptrdiff_t ldx, TY* yp,
                std::ptrdiff_t ldy, int k, std::size_t n,
-               const unsigned char* active = nullptr, const int* ymap = nullptr,
-               PanelLayout lx = PanelLayout::kRowMajor,
-               PanelLayout ly = PanelLayout::kRowMajor) {
+               const unsigned char* active = nullptr, const int* ymap = nullptr) {
   using W = promote_t<promote_t<TX, TY>, S>;
   const std::ptrdiff_t nn = static_cast<std::ptrdiff_t>(n);
   for (int c = 0; c < k; ++c) {
     if (active != nullptr && !active[c]) continue;
     const W a = static_cast<W>(alpha[c]);
-    const std::ptrdiff_t yc = ymap != nullptr ? ymap[c] : c;
-    for (std::ptrdiff_t i = 0; i < nn; ++i) {
-      TY* y = panel_at(yp, ldy, ly, yc, i);
-      *y = static_cast<TY>(static_cast<W>(*y) +
-                           a * static_cast<W>(*panel_at(x, ldx, lx, c, i)));
-    }
+    const TX* xc = x + static_cast<std::ptrdiff_t>(c) * ldx;
+    TY* yc = yp + static_cast<std::ptrdiff_t>(ymap != nullptr ? ymap[c] : c) * ldy;
+    for (std::ptrdiff_t i = 0; i < nn; ++i)
+      yc[i] = static_cast<TY>(static_cast<W>(yc[i]) + a * static_cast<W>(xc[i]));
   }
 }
 
@@ -257,19 +250,16 @@ void axpy_cols(const S* alpha, const TX* x, std::ptrdiff_t ldx, TY* yp,
 template <class TX, class TY, class S>
 void axpby_cols(const S* alpha, const TX* x, std::ptrdiff_t ldx, const S* beta, TY* yp,
                 std::ptrdiff_t ldy, int k, std::size_t n,
-                const unsigned char* active = nullptr,
-                PanelLayout lx = PanelLayout::kRowMajor,
-                PanelLayout ly = PanelLayout::kRowMajor) {
+                const unsigned char* active = nullptr) {
   using W = promote_t<promote_t<TX, TY>, S>;
   const std::ptrdiff_t nn = static_cast<std::ptrdiff_t>(n);
   for (int c = 0; c < k; ++c) {
     if (active != nullptr && !active[c]) continue;
     const W a = static_cast<W>(alpha[c]), b = static_cast<W>(beta[c]);
-    for (std::ptrdiff_t i = 0; i < nn; ++i) {
-      TY* y = panel_at(yp, ldy, ly, c, i);
-      *y = static_cast<TY>(a * static_cast<W>(*panel_at(x, ldx, lx, c, i)) +
-                           b * static_cast<W>(*y));
-    }
+    const TX* xc = x + static_cast<std::ptrdiff_t>(c) * ldx;
+    TY* yc = yp + static_cast<std::ptrdiff_t>(c) * ldy;
+    for (std::ptrdiff_t i = 0; i < nn; ++i)
+      yc[i] = static_cast<TY>(a * static_cast<W>(xc[i]) + b * static_cast<W>(yc[i]));
   }
 }
 
@@ -378,26 +368,27 @@ void residual(const SellMatrix<MT>& a, std::span<const XT> x, std::span<const BT
   }
 }
 
-/// Y_c = A X_c over CSR, per column, layout-addressed panels.
+/// Y_c = A X_c over CSR, per column.
 template <class MT, class XT, class YT, class Acc = promote_t<MT, XT>>
 void spmm(const CsrMatrix<MT>& a, const XT* x, std::ptrdiff_t ldx, YT* y,
-          std::ptrdiff_t ldy, int k, PanelLayout lx = PanelLayout::kRowMajor,
-          PanelLayout ly = PanelLayout::kRowMajor) {
+          std::ptrdiff_t ldy, int k) {
   const std::ptrdiff_t n = a.nrows;
   const index_t* rp = a.row_ptr.data();
   const index_t* ci = a.col_idx.data();
   const MT* v = a.vals.data();
   for (int c = 0; c < k; ++c) {
+    const XT* xc = x + static_cast<std::ptrdiff_t>(c) * ldx;
+    YT* yc = y + static_cast<std::ptrdiff_t>(c) * ldy;
     for (std::ptrdiff_t i = 0; i < n; ++i) {
       Acc s{0};
       for (index_t t = rp[i]; t < rp[i + 1]; ++t)
-        s += static_cast<Acc>(v[t]) * static_cast<Acc>(*panel_at(x, ldx, lx, c, ci[t]));
-      *panel_at(y, ldy, ly, c, i) = static_cast<YT>(s);
+        s += static_cast<Acc>(v[t]) * static_cast<Acc>(xc[ci[t]]);
+      yc[i] = static_cast<YT>(s);
     }
   }
 }
 
-/// Y_c = B_c − A X_c over CSR (row-major panels, as the host signature).
+/// Y_c = B_c − A X_c over CSR, per column.
 template <class MT, class XT, class BT, class YT,
           class Acc = promote_t<promote_t<MT, XT>, BT>>
 void residual_many(const CsrMatrix<MT>& a, const XT* x, std::ptrdiff_t ldx, const BT* b,

@@ -1,22 +1,20 @@
 // Panel layouts for batched multi-RHS storage.
 //
 // A batched solver advances k right-hand sides through panels of k columns
-// of length n.  Two layouts are supported:
+// of length n.  Every solver panel, survivor and gather panel alike, is
+// kRowMajor: column c is contiguous at p + c·ld (ld ≥ n), so single-column
+// spans are free and each column streams unit-stride.
 //
-//  * kRowMajor — column c is contiguous at p + c·ld (ld ≥ n).  The seed
-//    layout: single-column spans are free, SpMV-style kernels stream each
-//    column unit-stride, but multi-column kernels touch k strided streams.
+// kColMajor — element (i, c) at p[i·ld + c] (ld ≥ k, the row stride) — is
+// the transposed ("interleaved") layout.  It survives in two places only:
+// the fp16 × fp32 CSR SpMM interleaves X internally (sparse/spmm.hpp), and
+// Preconditioner::apply_many_layout stages interleaved panels for callers
+// that hand it one.  A colmajor survivor-panel path for the solvers was
+// measured and removed: it lost up to 3.2x on nonsymmetric systems and won
+// nowhere outside noise (ROADMAP item 5).
 //
-//  * kColMajor — element (i, c) lives at p[i·ld + c] (ld ≥ k, the row
-//    stride).  The transposed ("interleaved") layout: the live columns of a
-//    compacted survivor panel sit next to each other in memory, so
-//    column-innermost kernels (dot_cols / axpy_cols / SpMM row sweeps /
-//    batched triangular solves) stream unit-stride over exactly the active
-//    set, at any compaction width.
-//
-// Kernels taking a PanelLayout preserve each column's operation order
-// bit-for-bit across layouts — only the addressing changes — so a solver
-// may switch layouts without changing its convergence trajectory.
+// The copies below are exact element moves — no arithmetic — so staging a
+// panel between layouts never changes a column's values.
 #pragma once
 
 #include <cstddef>
@@ -74,8 +72,7 @@ void panel_copy_col(const T* src, std::ptrdiff_t lds, PanelLayout ls, std::ptrdi
 }
 
 /// Copy a k-column panel (length n) between layouts.  Exact element copies;
-/// the workhorse of the staging fallback operators use when they have no
-/// native interleaved kernel.
+/// the workhorse of Preconditioner::apply_many_layout's staging.
 template <class T>
 void panel_copy(const T* src, std::ptrdiff_t lds, PanelLayout ls, T* dst,
                 std::ptrdiff_t ldd, PanelLayout ld, int k, std::ptrdiff_t n) {

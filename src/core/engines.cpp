@@ -137,7 +137,6 @@ class FlatKrylovEngine final : public SolverEngine {
     cfg.max_iters = halve_iters_ ? spec_.max_iters / 2 : spec_.max_iters;
     cfg.record_history = spec_.record_history;
     cfg.compact = spec_.compact;
-    cfg.layout = spec_.layout;  // unset → the workspace's panel_layout()
     cfg.stagnate_window = spec_.stagnate_window;
     return cfg;
   }

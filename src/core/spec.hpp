@@ -24,10 +24,10 @@
 //   backend      := host | omp | serial    (base/backend.hpp)
 //
 // Solver options: rtol=, max-iters=, restarts=, wave=, masked, nohist,
-// layout= (rowmajor|colmajor survivor-panel storage; base/panel.hpp),
-// backend= (execution-space backend; ":NAME" on the head is an alias, and
-// giving both is an error).  An unset backend means "resolve at build
-// time": Session falls back to NKRYLOV_BACKEND, then the host default.
+// stagnate-window=, fallback=, backend= (execution-space backend; ":NAME"
+// on the head is an alias, and giving both is an error).  An unset backend
+// means "resolve at build time": Session falls back to NKRYLOV_BACKEND,
+// then the host default.
 // Preconditioner options: nblocks=, omega=, degree=.  max-iters= caps the
 // flat solvers; the nested kinds bound their outer work by restarts=
 // instead (the outer FGMRES runs at most (restarts+1)·m1 iterations) and
@@ -57,7 +57,6 @@
 
 #include "base/backend.hpp"
 #include "base/half.hpp"
-#include "base/panel.hpp"
 
 namespace nk {
 
@@ -108,10 +107,6 @@ struct SolverSpec {
   // Batching (solve_many scheduling; see CgSolver).
   int wave = 0;              ///< ragged-wave width (0 = whole batch at once)
   bool compact = true;       ///< false = masked-lockstep A/B reference path
-  /// Survivor-panel layout for the batched solvers ("layout=rowmajor" /
-  /// "layout=colmajor"; see base/panel.hpp).  Unset = the workspace default
-  /// (row-major).  Iterates are bit-identical across layouts.
-  std::optional<PanelLayout> layout;
 
   // Resilience policy (the Session-level recovery ladder; see README
   // "Failure modes & recovery").

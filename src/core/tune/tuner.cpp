@@ -22,7 +22,7 @@ namespace {
 constexpr int kProbeIters = 40;
 
 /// The probe variant of a candidate spec: the caller's tolerance, no
-/// history ring, tight work caps.  Everything else (wave/layout/backend)
+/// history ring, tight work caps.  Everything else (wave/backend)
 /// stays default — probes are scalar solves on the session's workspace.
 SolverSpec probe_spec(const Candidate& cand, double rtol) {
   SolverSpec s = cand.spec;
@@ -218,7 +218,7 @@ class AutoEngine final : public SolverEngine {
 
  private:
   /// Rebuild the inner engine for the minimal spec `minimal`, carrying the
-  /// user's option tail (termination, batching, layout, resilience,
+  /// user's option tail (termination, batching, resilience,
   /// backend) over verbatim.  Sequential rebuild on the shared workspace.
   void adopt(const SolverSpec& minimal) {
     SolverSpec full = minimal;
@@ -228,7 +228,6 @@ class AutoEngine final : public SolverEngine {
     full.record_history = user_.record_history;
     full.wave = user_.wave;
     full.compact = user_.compact;
-    full.layout = user_.layout;
     full.stagnate_window = user_.stagnate_window;
     full.fallback = user_.fallback;
     full.backend = user_.backend;

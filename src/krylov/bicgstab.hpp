@@ -22,13 +22,11 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "backend/kernels.hpp"
-#include "base/panel.hpp"
 #include "base/workspace.hpp"
 #include "krylov/history.hpp"
 #include "krylov/operator.hpp"
@@ -50,9 +48,6 @@ class BiCgStabSolver {
     /// true (default) = active-set compaction; false = the PR 3 masked
     /// lockstep reference path (kept for A/B benching).  Bit-identical.
     bool compact = true;
-    /// Survivor-panel layout for the compact scheduler (see base/panel.hpp
-    /// and CgSolver::Config::layout).  Unset = the workspace default.
-    std::optional<PanelLayout> layout{};
   };
 
   /// Deferred-setup construction (no allocation until setup()).

@@ -130,19 +130,6 @@ void CgSolver<VT>::solve_many_compact(const VT* b, std::ptrdiff_t ldb, VT* x,
   auto stall = w.get<int>(key_ + ".bat.stall", ww);
   const std::ptrdiff_t nld = static_cast<std::ptrdiff_t>(n_);
 
-  // Survivor-panel layout (base/panel.hpp): row-major columns (the seed
-  // layout, single-column spans free) or interleaved columns (unit-stride
-  // across the live set for every width-na kernel).  Addressing only —
-  // per-column operation order is identical, so iterates match solve() to
-  // the bit under either layout.
-  const PanelLayout lay = cfg_.layout.value_or(w.panel_layout());
-  const bool ilv = lay == PanelLayout::kColMajor;
-  const std::ptrdiff_t pld = ilv ? static_cast<std::ptrdiff_t>(W) : nld;
-  // Interleaved panels have no contiguous columns, so single-column work
-  // (residual/preconditioner applies in init_slot) stages through scratch.
-  std::span<VT> scr;
-  if (ilv) scr = w.get<VT>(key_ + ".bat.scr", 2 * n_);
-
   auto col = [&](std::span<VT> blk, int j) {
     return std::span<VT>(blk.data() + static_cast<std::size_t>(j) * n_, n_);
   };
@@ -174,15 +161,10 @@ void CgSolver<VT>::solve_many_compact(const VT* b, std::ptrdiff_t ldb, VT* x,
     }
     bref[j] = bnorm > 0.0 ? bnorm : 1.0;
     target[j] = cfg_.rtol * bref[j];
-    // Interleaved panels: build r/z in contiguous scratch (the same values
-    // the row-major path writes into the panel columns — exact copies on
-    // the scatter), so the single-column residual/apply/reductions below
-    // are the row-major path's operations verbatim.
-    VT* r0 = ilv ? scr.data() : cptr(R, j);
     a_->residual(std::span<const VT>(b + static_cast<std::ptrdiff_t>(c) * ldb, n_),
                  std::span<const VT>(x + static_cast<std::ptrdiff_t>(c) * ldx, n_),
-                 std::span<VT>(r0, n_));
-    kx_.nrm2_cols(r0, nld, 1, n_, &red[j]);
+                 col(R, j));
+    kx_.nrm2_cols(cptr(R, j), nld, 1, n_, &red[j]);
     const double rnorm = static_cast<double>(red[j]);
     if (cfg_.record_history) res[c].history.push_back(rnorm / bref[j]);
     if (!std::isfinite(rnorm)) {
@@ -195,21 +177,9 @@ void CgSolver<VT>::solve_many_compact(const VT* b, std::ptrdiff_t ldb, VT* x,
     }
     best[j] = rnorm;
     stall[j] = 0;
-    const std::ptrdiff_t nn = nld;
-    if (ilv) {
-      VT* z0 = scr.data() + n_;
-      m_->apply(std::span<const VT>(r0, n_), std::span<VT>(z0, n_));
-      kx_.dot_cols(r0, nld, z0, nld, 1, n_, &rz[j]);
-      // Scatter r into R_j and z into P_j (Z is pass-local: rewritten by
-      // the trailing preconditioner sweep before any read, so it needs no
-      // initialization here).
-      panel_copy_col(r0, nld, PanelLayout::kRowMajor, 0, R.data(), pld, lay, j, nn);
-      panel_copy_col(z0, nld, PanelLayout::kRowMajor, 0, P.data(), pld, lay, j, nn);
-    } else {
-      m_->apply(ccol(R, j), col(Z, j));
-      kx_.copy(ccol(Z, j), col(P, j));
-      kx_.dot_cols(cptr(R, j), nld, cptr(Z, j), nld, 1, n_, &rz[j]);
-    }
+    m_->apply(ccol(R, j), col(Z, j));
+    kx_.copy(ccol(Z, j), col(P, j));
+    kx_.dot_cols(cptr(R, j), nld, cptr(Z, j), nld, 1, n_, &rz[j]);
     return true;
   };
   auto refill = [&]() {
@@ -222,15 +192,9 @@ void CgSolver<VT>::solve_many_compact(const VT* b, std::ptrdiff_t ldb, VT* x,
   // the one mid-pass retirement site (the pq breakdown check), so it moves.
   auto move_slot = [&](int dst, int src) {
     if (dst == src) return;
-    if (ilv) {
-      panel_copy_col(R.data(), pld, lay, src, R.data(), pld, lay, dst, nld);
-      panel_copy_col(P.data(), pld, lay, src, P.data(), pld, lay, dst, nld);
-      panel_copy_col(Q.data(), pld, lay, src, Q.data(), pld, lay, dst, nld);
-    } else {
-      kx_.copy(ccol(R, src), col(R, dst));
-      kx_.copy(ccol(P, src), col(P, dst));
-      kx_.copy(ccol(Q, src), col(Q, dst));
-    }
+    kx_.copy(ccol(R, src), col(R, dst));
+    kx_.copy(ccol(P, src), col(P, dst));
+    kx_.copy(ccol(Q, src), col(Q, dst));
     rz[dst] = rz[src];
     red[dst] = red[src];
     target[dst] = target[src];
@@ -255,8 +219,8 @@ void CgSolver<VT>::solve_many_compact(const VT* b, std::ptrdiff_t ldb, VT* x,
     refill();
     if (na == 0) break;
 
-    a_->apply_many_layout(P.data(), pld, Q.data(), pld, na, lay, lay);
-    kx_.dot_cols(P.data(), pld, Q.data(), pld, na, n_, red.data(), nullptr, lay, lay);
+    a_->apply_many(P.data(), nld, Q.data(), nld, na);
+    kx_.dot_cols(P.data(), nld, Q.data(), nld, na, n_, red.data());
     for (int j = 0; j < na;) {
       const int it = ++itc[j];
       const S pq = red[j];
@@ -278,17 +242,19 @@ void CgSolver<VT>::solve_many_compact(const VT* b, std::ptrdiff_t ldb, VT* x,
 
     // x_{map[j]} += α_j p_j (scattered through the index map into caller
     // columns); r_j −= α_j q_j.
-    kx_.axpy_cols(alpha.data(), P.data(), pld, x, ldx, na, n_, nullptr, map.data(), lay,
-                    PanelLayout::kRowMajor);
-    kx_.axpy_cols(nalpha.data(), Q.data(), pld, R.data(), pld, na, n_, nullptr, nullptr,
-                    lay, lay);
-    kx_.nrm2_cols(R.data(), pld, na, n_, red.data(), nullptr, lay);
-    // Belt-and-braces panel guard (benched; see Config::guard_panels).  The
-    // rnorm check below already retires every poisoned column — a NaN/Inf
+    kx_.axpy_cols(alpha.data(), P.data(), nld, x, ldx, na, n_, nullptr, map.data());
+    kx_.axpy_cols(nalpha.data(), Q.data(), nld, R.data(), nld, na, n_);
+    kx_.nrm2_cols(R.data(), nld, na, n_, red.data());
+    // Belt-and-braces panel guard (see Config::guard_panels).  The rnorm
+    // check below already retires every poisoned column — a NaN/Inf
     // anywhere in r makes its norm non-finite — so the scan only sharpens
-    // the failure site attribution; its cost is what the bench gate pins.
-    const int badc = cfg_.guard_panels
-                         ? kx_.first_nonfinite_col(R.data(), pld, na, n_, lay)
+    // the failure site attribution, and runs only when some norm is
+    // non-finite: a finite pass costs na scalar tests, not a panel sweep.
+    bool any_nonfinite = false;
+    for (int j = 0; j < na; ++j)
+      any_nonfinite = any_nonfinite || !std::isfinite(static_cast<double>(red[j]));
+    const int badc = cfg_.guard_panels && any_nonfinite
+                         ? kx_.first_nonfinite_col(R.data(), nld, na, n_)
                          : -1;
     for (int j = 0; j < na;) {
       const int c = map[j];
@@ -321,15 +287,14 @@ void CgSolver<VT>::solve_many_compact(const VT* b, std::ptrdiff_t ldb, VT* x,
 
     // The trailing preconditioner apply and direction update run even on a
     // column's final iteration, exactly as solve()'s loop body does.
-    m_->apply_many_layout(R.data(), pld, Z.data(), pld, na, lay);
-    kx_.dot_cols(R.data(), pld, Z.data(), pld, na, n_, red.data(), nullptr, lay, lay);
+    m_->apply_many(R.data(), nld, Z.data(), nld, na);
+    kx_.dot_cols(R.data(), nld, Z.data(), nld, na, n_, red.data());
     for (int j = 0; j < na; ++j) {
       beta[j] = red[j] / rz[j];
       rz[j] = red[j];
     }
     // p_j = z_j + β_j p_j.
-    kx_.axpby_cols(ones.data(), Z.data(), pld, beta.data(), P.data(), pld, na, n_,
-                     nullptr, lay, lay);
+    kx_.axpby_cols(ones.data(), Z.data(), nld, beta.data(), P.data(), nld, na, n_);
   }
 }
 

@@ -37,13 +37,11 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "backend/kernels.hpp"
-#include "base/panel.hpp"
 #include "base/workspace.hpp"
 #include "krylov/history.hpp"
 #include "krylov/operator.hpp"
@@ -64,23 +62,18 @@ class CgSolver {
     /// conformance-pinned behavior).  Pure comparisons on the already-
     /// computed norms — iterate streams are untouched.
     int stagnate_window = 0;
-    /// Per-iteration non-finite panel scan (batched paths): after the
-    /// residual update, scan the R panel with blas::has_nonfinite and
-    /// retire any poisoned column with kNonFinite("panel").  Off by
-    /// default — the residual-NORM check already catches NaN for free;
-    /// this is the belt-and-braces mode the guard-overhead bench pins.
+    /// Non-finite panel scan (compact batched path): when a residual norm
+    /// comes out non-finite, scan the R panel and attribute the first
+    /// poisoned column's failure to kNonFinite("panel") instead of
+    /// "rnorm".  Off by default — the residual-NORM check already retires
+    /// NaN columns for free; the scan only sharpens attribution, so a pass
+    /// whose norms are all finite never runs it.
     bool guard_panels = false;
     /// Batched scheduling: true (default) = active-set compaction (kernels
     /// run at the current active width); false = the PR 3 masked-lockstep
     /// reference path (full-width kernels, per-column apply fallback),
     /// kept for A/B benching.  Iterates are bit-identical either way.
     bool compact = true;
-    /// Storage layout of the compact scheduler's survivor panels (see
-    /// base/panel.hpp): kColMajor interleaves the live columns so every
-    /// width-na kernel streams unit-stride over exactly the active set.
-    /// Unset = the workspace's panel_layout() default.  Per-column
-    /// operation order is preserved — iterates are bit-identical.
-    std::optional<PanelLayout> layout{};
   };
 
   /// Deferred-setup construction (no allocation until setup()).

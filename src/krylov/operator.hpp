@@ -5,16 +5,18 @@
 // operators wrap a CSR or sliced-ELLPACK matrix and perform the product in
 // promote_t<matrix precision, VT> — e.g. the paper's level-3 FGMRES does
 // its SpMV in fp32 because A is fp16 and the Arnoldi basis is fp32.
+//
+// Batched applies (apply_many / residual_many) take row-major panels —
+// column c at x + c·ldx — the only layout the batched solvers use (see
+// base/panel.hpp).
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "backend/kernels.hpp"
 #include "base/backend.hpp"
 #include "base/half.hpp"
-#include "base/panel.hpp"
 #include "sparse/sell.hpp"
 
 namespace nk {
@@ -51,38 +53,6 @@ class Operator {
                std::span<VT>(r + static_cast<std::ptrdiff_t>(c) * ldr, n));
   }
 
-  /// Layout-aware batched apply: like apply_many but the X / Y panels are
-  /// addressed per lx / ly (see panel.hpp).  The default stages interleaved
-  /// panels through a grow-only row-major scratch — exact copies around the
-  /// row-major apply, so results are bit-identical to apply_many at the
-  /// cost of the transposes.  Operators with a native interleaved kernel
-  /// (CSR SpMM) override to skip the staging.
-  virtual void apply_many_layout(const VT* x, std::ptrdiff_t ldx, VT* y,
-                                 std::ptrdiff_t ldy, int k, PanelLayout lx,
-                                 PanelLayout ly) {
-    if (lx == PanelLayout::kRowMajor && ly == PanelLayout::kRowMajor) {
-      apply_many(x, ldx, y, ldy, k);
-      return;
-    }
-    const std::ptrdiff_t n = size();
-    stage_.resize(static_cast<std::size_t>(2 * k) * n);
-    VT* xs = stage_.data();
-    VT* ys = xs + static_cast<std::ptrdiff_t>(k) * n;
-    const VT* xr = x;
-    std::ptrdiff_t lxr = ldx;
-    if (lx == PanelLayout::kColMajor) {
-      panel_copy(x, ldx, lx, xs, n, PanelLayout::kRowMajor, k, n);
-      xr = xs;
-      lxr = n;
-    }
-    if (ly == PanelLayout::kColMajor) {
-      apply_many(xr, lxr, ys, n, k);
-      panel_copy(ys, n, PanelLayout::kRowMajor, y, ldy, ly, k, n);
-    } else {
-      apply_many(xr, lxr, y, ldy, k);
-    }
-  }
-
   [[nodiscard]] virtual index_t size() const = 0;
 
   /// Number of operator applications so far (SpMV count; diagnostics).
@@ -91,7 +61,6 @@ class Operator {
 
  protected:
   std::uint64_t count_ = 0;
-  std::vector<VT> stage_;  ///< grow-only transpose scratch of the staged default
 };
 
 /// CSR-backed operator; MT is the storage precision of the matrix values.
@@ -120,11 +89,6 @@ class CsrOperator final : public Operator<VT> {
                      VT* r, std::ptrdiff_t ldr, int k) override {
     this->count_ += static_cast<std::uint64_t>(k);
     kx_.residual_many(*a_, x, ldx, b, ldb, r, ldr, k);
-  }
-  void apply_many_layout(const VT* x, std::ptrdiff_t ldx, VT* y, std::ptrdiff_t ldy,
-                         int k, PanelLayout lx, PanelLayout ly) override {
-    this->count_ += static_cast<std::uint64_t>(k);
-    kx_.spmm(*a_, x, ldx, y, ldy, k, lx, ly);  // native: no transpose staging
   }
   [[nodiscard]] index_t size() const override { return a_->nrows; }
 

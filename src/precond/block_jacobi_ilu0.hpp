@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "base/backend.hpp"
-#include "base/panel.hpp"
 #include "precond/preconditioner.hpp"
 #include "sparse/csr.hpp"
 
@@ -109,18 +108,11 @@ inline constexpr int kIluMaxCols = 16;
 /// and sequential applications agree bit-for-bit.
 namespace ilu_detail {
 
-/// L selects the shared layout of the R and Z panels (see panel.hpp):
-/// kColMajor addresses element (i, c) at p[i·ld + c], which makes every
-/// per-row column sweep below — including the z gathers at the factor's
-/// column indices — unit-stride over the live columns.  Addressing only;
-/// the substitution order per column is layout-independent.
-template <class P, class VT, class W, int KC,
-          PanelLayout L = PanelLayout::kRowMajor>
+template <class P, class VT, class W, int KC>
 void solve_group(const IluFactors<P>& f, const VT* rg, std::ptrdiff_t ldr, VT* zg,
                  std::ptrdiff_t ldz, int kc_dyn, Backend be) {
   const int kc = KC > 0 ? KC : kc_dyn;
   const index_t nb = f.nblocks();
-  constexpr bool ilv = L == PanelLayout::kColMajor;
   const bool par = be == Backend::kHost;
   (void)par;
 #pragma omp parallel for schedule(static) if (par)
@@ -129,58 +121,25 @@ void solve_group(const IluFactors<P>& f, const VT* rg, std::ptrdiff_t ldr, VT* z
     W s[kIluMaxCols];
     // Forward: L y = r (unit diagonal), y written into z.
     for (index_t i = b0; i < b1; ++i) {
-      for (int c = 0; c < kc; ++c)
-        s[c] = static_cast<W>(*panel_at<L>(rg, ldr, c, i));
+      for (int c = 0; c < kc; ++c) s[c] = static_cast<W>(rg[c * ldr + i]);
       for (index_t p = f.row_ptr[i]; p < f.diag_pos[i]; ++p) {
         const W vp = static_cast<W>(f.vals[p]);
-        const VT* __restrict zc = ilv ? zg + f.col_idx[p] * ldz : zg + f.col_idx[p];
-        const std::ptrdiff_t zs = ilv ? 1 : ldz;
-        for (int c = 0; c < kc; ++c)
-          s[c] -= vp * static_cast<W>(zc[static_cast<std::ptrdiff_t>(c) * zs]);
+        const VT* __restrict zc = zg + f.col_idx[p];
+        for (int c = 0; c < kc; ++c) s[c] -= vp * static_cast<W>(zc[c * ldz]);
       }
-      for (int c = 0; c < kc; ++c)
-        *panel_at<L>(zg, ldz, c, i) = static_cast<VT>(s[c]);
+      for (int c = 0; c < kc; ++c) zg[c * ldz + i] = static_cast<VT>(s[c]);
     }
     // Backward: U z = y, far-to-near as in ilu_solve().
     for (index_t i = b1; i-- > b0;) {
-      for (int c = 0; c < kc; ++c)
-        s[c] = static_cast<W>(*panel_at<L>(zg, ldz, c, i));
+      for (int c = 0; c < kc; ++c) s[c] = static_cast<W>(zg[c * ldz + i]);
       for (index_t p = f.row_ptr[i + 1]; --p > f.diag_pos[i];) {
         const W vp = static_cast<W>(f.vals[p]);
-        const VT* __restrict zc = ilv ? zg + f.col_idx[p] * ldz : zg + f.col_idx[p];
-        const std::ptrdiff_t zs = ilv ? 1 : ldz;
-        for (int c = 0; c < kc; ++c)
-          s[c] -= vp * static_cast<W>(zc[static_cast<std::ptrdiff_t>(c) * zs]);
+        const VT* __restrict zc = zg + f.col_idx[p];
+        for (int c = 0; c < kc; ++c) s[c] -= vp * static_cast<W>(zc[c * ldz]);
       }
       const W d = static_cast<W>(f.vals[f.diag_pos[i]]);
-      for (int c = 0; c < kc; ++c)
-        *panel_at<L>(zg, ldz, c, i) = static_cast<VT>(s[c] / d);
+      for (int c = 0; c < kc; ++c) zg[c * ldz + i] = static_cast<VT>(s[c] / d);
     }
-  }
-}
-
-template <PanelLayout L, class P, class VT, class W>
-void solve_many_dispatch(const IluFactors<P>& f, const VT* r, std::ptrdiff_t ldr, VT* z,
-                         std::ptrdiff_t ldz, int k, Backend be) {
-  // Greedy 16/8/4 groups (blas::greedy_group) with the 1/2/3 tails pinned
-  // too, so every compacted width — odd ones included — runs fully
-  // unrolled; mirrors spmm's dispatch.
-  for (int c0 = 0; c0 < k;) {
-    const int kc = blas::greedy_group(k - c0, kIluMaxCols);
-    const VT* rg = L == PanelLayout::kColMajor ? r + c0 : r + static_cast<std::ptrdiff_t>(c0) * ldr;
-    VT* zg = L == PanelLayout::kColMajor ? z + c0 : z + static_cast<std::ptrdiff_t>(c0) * ldz;
-    switch (kc) {
-      case 1: solve_group<P, VT, W, 1, L>(f, rg, ldr, zg, ldz, kc, be); break;
-      case 2: solve_group<P, VT, W, 2, L>(f, rg, ldr, zg, ldz, kc, be); break;
-      case 3: solve_group<P, VT, W, 3, L>(f, rg, ldr, zg, ldz, kc, be); break;
-      case 4: solve_group<P, VT, W, 4, L>(f, rg, ldr, zg, ldz, kc, be); break;
-      case 8: solve_group<P, VT, W, 8, L>(f, rg, ldr, zg, ldz, kc, be); break;
-      case kIluMaxCols:
-        solve_group<P, VT, W, kIluMaxCols, L>(f, rg, ldr, zg, ldz, kc, be);
-        break;
-      default: solve_group<P, VT, W, 0, L>(f, rg, ldr, zg, ldz, kc, be); break;
-    }
-    c0 += kc;
   }
 }
 
@@ -188,15 +147,26 @@ void solve_many_dispatch(const IluFactors<P>& f, const VT* r, std::ptrdiff_t ldr
 
 template <class P, class VT, class W = promote_t<P, VT>>
 void ilu_solve_many(const IluFactors<P>& f, const VT* r, std::ptrdiff_t ldr, VT* z,
-                    std::ptrdiff_t ldz, int k,
-                    PanelLayout layout = PanelLayout::kRowMajor,
-                    Backend be = Backend::kHost) {
-  if (layout == PanelLayout::kColMajor)
-    ilu_detail::solve_many_dispatch<PanelLayout::kColMajor, P, VT, W>(f, r, ldr, z, ldz,
-                                                                     k, be);
-  else
-    ilu_detail::solve_many_dispatch<PanelLayout::kRowMajor, P, VT, W>(f, r, ldr, z, ldz,
-                                                                     k, be);
+                    std::ptrdiff_t ldz, int k, Backend be = Backend::kHost) {
+  // Greedy 16/8/4 groups (blas::greedy_group) with the 1/2/3 tails pinned
+  // too, so every compacted width — odd ones included — runs fully
+  // unrolled; mirrors spmm's dispatch.
+  using ilu_detail::solve_group;
+  for (int c0 = 0; c0 < k;) {
+    const int kc = blas::greedy_group(k - c0, kIluMaxCols);
+    const VT* rg = r + static_cast<std::ptrdiff_t>(c0) * ldr;
+    VT* zg = z + static_cast<std::ptrdiff_t>(c0) * ldz;
+    switch (kc) {
+      case 1: solve_group<P, VT, W, 1>(f, rg, ldr, zg, ldz, kc, be); break;
+      case 2: solve_group<P, VT, W, 2>(f, rg, ldr, zg, ldz, kc, be); break;
+      case 3: solve_group<P, VT, W, 3>(f, rg, ldr, zg, ldz, kc, be); break;
+      case 4: solve_group<P, VT, W, 4>(f, rg, ldr, zg, ldz, kc, be); break;
+      case 8: solve_group<P, VT, W, 8>(f, rg, ldr, zg, ldz, kc, be); break;
+      case kIluMaxCols: solve_group<P, VT, W, kIluMaxCols>(f, rg, ldr, zg, ldz, kc, be); break;
+      default: solve_group<P, VT, W, 0>(f, rg, ldr, zg, ldz, kc, be); break;
+    }
+    c0 += kc;
+  }
 }
 
 class BlockJacobiIlu0 final : public PrimaryPrecond {
@@ -246,12 +216,7 @@ class IluApplyHandle final : public Preconditioner<VT> {
   void apply_many(const VT* r, std::ptrdiff_t ldr, VT* z, std::ptrdiff_t ldz,
                   int k) override {
     cnt_->count += static_cast<std::uint64_t>(k);
-    ilu_solve_many(*f_, r, ldr, z, ldz, k, PanelLayout::kRowMajor, this->backend());
-  }
-  void apply_many_layout(const VT* r, std::ptrdiff_t ldr, VT* z, std::ptrdiff_t ldz,
-                         int k, PanelLayout layout) override {
-    cnt_->count += static_cast<std::uint64_t>(k);
-    ilu_solve_many(*f_, r, ldr, z, ldz, k, layout, this->backend());  // native: no staging
+    ilu_solve_many(*f_, r, ldr, z, ldz, k, this->backend());
   }
   [[nodiscard]] index_t size() const override { return f_->n; }
 

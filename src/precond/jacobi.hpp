@@ -83,27 +83,6 @@ class JacobiApplyHandle final : public Preconditioner<VT> {
             static_cast<VT>(static_cast<W>(r[static_cast<std::ptrdiff_t>(c) * ldr + i]) * di);
     }
   }
-  /// Element-local, so the interleaved layout is native: only the
-  /// addressing changes, each element computes the identical product.
-  void apply_many_layout(const VT* r, std::ptrdiff_t ldr, VT* z, std::ptrdiff_t ldz,
-                         int k, PanelLayout layout) override {
-    if (layout == PanelLayout::kRowMajor) {
-      apply_many(r, ldr, z, ldz, k);
-      return;
-    }
-    cnt_->count += static_cast<std::uint64_t>(k);
-    using W = promote_t<SP, VT>;
-    const std::ptrdiff_t n = f_->n;
-    const SP* __restrict d = f_->inv_diag.data();
-    const bool par = this->backend() == Backend::kHost;
-    (void)par;
-#pragma omp parallel for schedule(static) if (par)
-    for (std::ptrdiff_t i = 0; i < n; ++i) {
-      const W di = static_cast<W>(d[i]);
-      for (int c = 0; c < k; ++c)
-        z[i * ldz + c] = static_cast<VT>(static_cast<W>(r[i * ldr + c]) * di);
-    }
-  }
   [[nodiscard]] index_t size() const override { return f_->n; }
 
  private:

@@ -55,12 +55,12 @@ class Preconditioner {
   }
 
   /// Layout-aware batched apply: like apply_many but both panels use
-  /// `layout` (see panel.hpp).  The default stages an interleaved batch
-  /// through a grow-only row-major scratch — exact copies around the
-  /// row-major apply_many, so results (and solver-state sequencing) are
-  /// bit-identical at the cost of the transposes.  Stateless
-  /// preconditioners with a native interleaved kernel (ILU substitution,
-  /// Jacobi) override to skip the staging.
+  /// `layout` (see panel.hpp).  The library's solvers only ever call
+  /// apply_many (their panels are row-major); this entry point remains for
+  /// callers and decorators that speak interleaved panels.  It stages an
+  /// interleaved batch through a grow-only row-major scratch — exact copies
+  /// around the row-major apply_many, so results (and solver-state
+  /// sequencing) are bit-identical at the cost of the transposes.
   virtual void apply_many_layout(const VT* r, std::ptrdiff_t ldr, VT* z,
                                  std::ptrdiff_t ldz, int k, PanelLayout layout) {
     if (layout == PanelLayout::kRowMajor) {

@@ -26,17 +26,12 @@
 // independent accumulators advancing in lockstep, so the row dot becomes
 // throughput-bound instead of latency-bound.
 //
-// Layout: by default column c of X starts at x + c·ldx (each column
-// contiguous, length n); same for Y/B.  The CSR kernels also accept
-// PanelLayout::kColMajor for X and/or Y (element (i, c) at p[i·ld + c],
-// see panel.hpp): the per-nonzero gather x[ci[t]] then reads the k live
-// columns unit-stride, which is how compacted interleaved survivor panels
-// stream.  Layout changes addressing only — each column's accumulation
-// sequence is preserved, so layouts agree bit-for-bit wherever the
-// row-major kernel is exact.  The SELL kernels are row-major only (their
-// slice sweep is already column-at-a-time SIMD; interleaved callers stage
-// through the operator-level transpose fallback).  k = 0 is a no-op,
-// k = 1 degenerates to spmv.
+// Layout: column c of X starts at x + c·ldx (each column contiguous,
+// length n); same for Y/B.  Internally the fp16 × fp32 CSR kernel copies a
+// row-major X group into an interleaved scratch panel (element (i, c) at
+// i·kc + c, see interleave_x) so one load per nonzero feeds every column;
+// callers never see that layout.  k = 0 is a no-op, k = 1 degenerates to
+// spmv.
 #pragma once
 
 #include <span>
@@ -56,29 +51,37 @@ inline constexpr int kSpmmMaxCols = 16;
 
 namespace spmm_detail {
 
+/// True where a row-major X is interleaved before the sweep (interleave_x).
+template <class MT, class XT, class Acc>
+inline constexpr bool kInterleaveX =
+#if defined(NKRYLOV_FP16_ROWS_AVX512)
+    std::is_same_v<MT, half> && std::is_same_v<XT, float> && std::is_same_v<Acc, float>;
+#else
+    false;
+#endif
+
 /// One CSR row × up to kSpmmMaxCols columns: per column the accumulation
 /// sequence of row_dot on that column (plain `s += v·x` on the general
 /// path, the four-way partial-sum grouping on the fp16-storage path),
 /// interleaved across columns for ILP.  KC > 0 pins the column count at
 /// compile time (k == KC) so the per-nonzero column loops fully unroll —
 /// the difference between a modest and a large win on short stencil rows.
-/// `out(c, s)` stores column c's row value.  LX selects X's panel layout:
-/// under kColMajor the per-nonzero gather lands at x + ci[t]·ldx and the k
-/// columns read unit-stride from there (addressing only — the accumulation
-/// order per column is LX-independent).
+/// `out(c, s)` stores column c's row value.  LX = kColMajor is the
+/// interleaved X of interleave_x (fp16 × fp32 only): the per-nonzero gather
+/// lands at x + ci[t]·ldx and the k columns read unit-stride from there
+/// (addressing only — the accumulation order per column is LX-independent).
 template <class MT, class XT, class Acc, int KC,
           PanelLayout LX = PanelLayout::kRowMajor, class Out>
 inline void row_dots(const MT* __restrict v, const index_t* __restrict ci,
                      const XT* __restrict x, std::ptrdiff_t ldx, int k_dyn, index_t b,
                      index_t e, Out&& out) {
+  static_assert(LX == PanelLayout::kRowMajor || kInterleaveX<MT, XT, Acc>,
+                "only the fp16 x fp32 row kernel reads an interleaved X");
   const int k = KC > 0 ? KC : k_dyn;
-  constexpr bool ilv = LX == PanelLayout::kColMajor;
-  const std::ptrdiff_t xs = ilv ? 1 : ldx;  // column stride at a gathered row
 #if defined(NKRYLOV_FP16_ROWS_AVX512)
-  if constexpr (std::is_same_v<MT, half> && std::is_same_v<XT, float> &&
-                std::is_same_v<Acc, float>) {
-    if constexpr (!ilv) {
-      // Row-major X: column by column through row_dot itself (spmm_csr and
+  if constexpr (kInterleaveX<MT, XT, Acc>) {
+    if constexpr (LX == PanelLayout::kRowMajor) {
+      // Row-major X: column by column through row_dot itself (spmm and
       // residual_many interleave X first when k > 1).
       for (int c = 0; c < k; ++c) out(c, detail::row_dot<MT, XT, Acc>(v, ci, x + c * ldx, b, e));
     } else {
@@ -125,23 +128,23 @@ inline void row_dots(const MT* __restrict v, const index_t* __restrict ci,
       }
       for (int j = 0; j < 16; ++j) {
         const Acc av = vf[j];
-        const XT* __restrict xc = x + (ilv ? ci[t + j] * ldx : ci[t + j]);
+        const XT* __restrict xc = x + ci[t + j];
         Acc* __restrict lane = acc[j % 4];
-        for (int c = 0; c < k; ++c) lane[c] += av * static_cast<Acc>(xc[c * xs]);
+        for (int c = 0; c < k; ++c) lane[c] += av * static_cast<Acc>(xc[c * ldx]);
       }
     }
     for (; t + 4 <= e; t += 4) {
       for (int j = 0; j < 4; ++j) {
         const Acc av = static_cast<Acc>(v[t + j]);
-        const XT* __restrict xc = x + (ilv ? ci[t + j] * ldx : ci[t + j]);
+        const XT* __restrict xc = x + ci[t + j];
         Acc* __restrict lane = acc[j];
-        for (int c = 0; c < k; ++c) lane[c] += av * static_cast<Acc>(xc[c * xs]);
+        for (int c = 0; c < k; ++c) lane[c] += av * static_cast<Acc>(xc[c * ldx]);
       }
     }
     for (; t < e; ++t) {
       const Acc av = static_cast<Acc>(v[t]);
-      const XT* __restrict xc = x + (ilv ? ci[t] * ldx : ci[t]);
-      for (int c = 0; c < k; ++c) acc[0][c] += av * static_cast<Acc>(xc[c * xs]);
+      const XT* __restrict xc = x + ci[t];
+      for (int c = 0; c < k; ++c) acc[0][c] += av * static_cast<Acc>(xc[c * ldx]);
     }
     for (int c = 0; c < k; ++c)
       out(c, (acc[0][c] + acc[1][c]) + (acc[2][c] + acc[3][c]));
@@ -149,8 +152,8 @@ inline void row_dots(const MT* __restrict v, const index_t* __restrict ci,
     Acc acc[kSpmmMaxCols] = {};
     for (index_t t = b; t < e; ++t) {
       const Acc av = static_cast<Acc>(v[t]);
-      const XT* __restrict xc = x + (ilv ? ci[t] * ldx : ci[t]);
-      for (int c = 0; c < k; ++c) acc[c] += av * static_cast<Acc>(xc[c * xs]);
+      const XT* __restrict xc = x + ci[t];
+      for (int c = 0; c < k; ++c) acc[c] += av * static_cast<Acc>(xc[c * ldx]);
     }
     for (int c = 0; c < k; ++c) out(c, acc[c]);
   }
@@ -179,15 +182,6 @@ inline void dispatch_cols(int kc, Body&& body) {
 /// active set (say 11 survivors of 16) in the fully-unrolled pinned
 /// kernels instead of falling into the unpinned path as one ragged group.
 inline int next_group(int remaining) { return blas::greedy_group(remaining, kSpmmMaxCols); }
-
-/// True where a row-major X is interleaved before the sweep (interleave_x).
-template <class MT, class XT, class Acc>
-inline constexpr bool kInterleaveX =
-#if defined(NKRYLOV_FP16_ROWS_AVX512)
-    std::is_same_v<MT, half> && std::is_same_v<XT, float> && std::is_same_v<Acc, float>;
-#else
-    false;
-#endif
 
 /// Copy kc row-major columns of length n into an interleaved panel ((i, c)
 /// at i·kc + c).  The fp16 × fp32 row kernel then reads the kc values of a
@@ -230,38 +224,22 @@ void sweep_group(const CsrMatrix<MT>& a, const XT* xg, std::ptrdiff_t ldx, int k
   });
 }
 
-/// Layout-pinned CSR SpMM body shared by the public spmm overloads.
-template <PanelLayout LX, PanelLayout LY, class MT, class XT, class YT, class Acc>
-void spmm_csr(const CsrMatrix<MT>& a, const XT* x, std::ptrdiff_t ldx, YT* y,
-              std::ptrdiff_t ldy, int k) {
-  for (int c0 = 0; c0 < k;) {
-    const int kc = next_group(k - c0);
-    const XT* xg = LX == PanelLayout::kColMajor ? x + c0 : x + static_cast<std::ptrdiff_t>(c0) * ldx;
-    YT* yg = LY == PanelLayout::kColMajor ? y + c0 : y + static_cast<std::ptrdiff_t>(c0) * ldy;
-    sweep_group<LX, MT, XT, Acc>(a, xg, ldx, kc, [&](int c, std::ptrdiff_t i, Acc s) {
-      *panel_at<LY>(yg, ldy, c, i) = static_cast<YT>(s);
-    });
-    c0 += kc;
-  }
-}
-
 }  // namespace spmm_detail
 
-/// Y_c = A X_c over CSR for c in [0, k); lx/ly select the X/Y panel
-/// layouts (addressing only — per-column accumulation order is fixed).
+/// Y_c = A X_c over CSR for c in [0, k).
 template <class MT, class XT, class YT, class Acc = promote_t<MT, XT>>
 void spmm(const CsrMatrix<MT>& a, const XT* x, std::ptrdiff_t ldx, YT* y,
-          std::ptrdiff_t ldy, int k, PanelLayout lx = PanelLayout::kRowMajor,
-          PanelLayout ly = PanelLayout::kRowMajor) {
-  using PL = PanelLayout;
-  if (lx == PL::kRowMajor && ly == PL::kRowMajor)
-    spmm_detail::spmm_csr<PL::kRowMajor, PL::kRowMajor, MT, XT, YT, Acc>(a, x, ldx, y, ldy, k);
-  else if (lx == PL::kColMajor && ly == PL::kColMajor)
-    spmm_detail::spmm_csr<PL::kColMajor, PL::kColMajor, MT, XT, YT, Acc>(a, x, ldx, y, ldy, k);
-  else if (lx == PL::kColMajor)
-    spmm_detail::spmm_csr<PL::kColMajor, PL::kRowMajor, MT, XT, YT, Acc>(a, x, ldx, y, ldy, k);
-  else
-    spmm_detail::spmm_csr<PL::kRowMajor, PL::kColMajor, MT, XT, YT, Acc>(a, x, ldx, y, ldy, k);
+          std::ptrdiff_t ldy, int k) {
+  for (int c0 = 0; c0 < k;) {
+    const int kc = spmm_detail::next_group(k - c0);
+    YT* yg = y + static_cast<std::ptrdiff_t>(c0) * ldy;
+    spmm_detail::sweep_group<PanelLayout::kRowMajor, MT, XT, Acc>(
+        a, x + static_cast<std::ptrdiff_t>(c0) * ldx, ldx, kc,
+        [&](int c, std::ptrdiff_t i, Acc s) {
+          yg[static_cast<std::ptrdiff_t>(c) * ldy + i] = static_cast<YT>(s);
+        });
+    c0 += kc;
+  }
 }
 
 /// Y_c = B_c − A X_c over CSR (fused batched residual).

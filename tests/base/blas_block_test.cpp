@@ -261,9 +261,9 @@ TEST(ScalCopy, MatchesScalThenCopy) {
 //
 // Width sweep: k = 1..4 covers the pinned small groups, 5/7/9/17 the odd
 // post-compaction widths whose sub-4 tails previously fell off the
-// unrolled dispatch, 8/16 the full groups.  Every width must be
-// BIT-identical across layouts (addressing-only change), and per column
-// bit-identical to single-threaded blas::dot.
+// unrolled dispatch, 8/16 the full groups.  Every width must be per
+// column bit-identical to the single-column blas1 kernel (single-threaded
+// for the reductions).
 // ---------------------------------------------------------------------------
 
 const std::vector<int> kWidths = {1, 2, 3, 4, 5, 7, 8, 9, 16, 17};
@@ -276,16 +276,6 @@ std::vector<T> make_panel(std::size_t n, int k, std::uint64_t seed) {
   std::vector<T> p(n * static_cast<std::size_t>(k));
   for (std::size_t i = 0; i < p.size(); ++i) p[i] = static_cast<T>(d[i]);
   return p;
-}
-
-/// Row-major panel -> interleaved (colmajor, ld = k) copy.
-template <class T>
-std::vector<T> interleaved(const std::vector<T>& rm, std::size_t n, int k) {
-  std::vector<T> cm(rm.size());
-  panel_copy(rm.data(), static_cast<std::ptrdiff_t>(n), PanelLayout::kRowMajor,
-             cm.data(), k, PanelLayout::kColMajor, k,
-             static_cast<std::ptrdiff_t>(n));
-  return cm;
 }
 
 template <class TX, class TY>
@@ -315,40 +305,12 @@ void check_dot_cols() {
             << "n=" << n << " k=" << k << " j=" << j;
       }
 
-      // All four layout combinations: bit-identical to the row-major run.
-      const auto xcm = interleaved(x, n, k);
-      const auto ycm = interleaved(y, n, k);
-      const std::ptrdiff_t ldk = k;
-      struct Combo {
-        const TX* x;
-        std::ptrdiff_t ldx;
-        PanelLayout lx;
-        const TY* y;
-        std::ptrdiff_t ldy;
-        PanelLayout ly;
-      };
-      const Combo combos[] = {
-          {xcm.data(), ldk, PanelLayout::kColMajor, ycm.data(), ldk, PanelLayout::kColMajor},
-          {xcm.data(), ldk, PanelLayout::kColMajor, y.data(), ldn, PanelLayout::kRowMajor},
-          {x.data(), ldn, PanelLayout::kRowMajor, ycm.data(), ldk, PanelLayout::kColMajor},
-      };
-      for (const auto& cb : combos) {
-        std::vector<S> out(kk, S{-1});
-        blas::dot_cols(cb.x, cb.ldx, cb.y, cb.ldy, k, n, out.data(), nullptr, cb.lx,
-                       cb.ly);
-        for (int j = 0; j < k; ++j)
-          EXPECT_EQ(static_cast<double>(out[j]), static_cast<double>(rm[j]))
-              << "n=" << n << " k=" << k << " j=" << j << " lx="
-              << panel_layout_name(cb.lx) << " ly=" << panel_layout_name(cb.ly);
-      }
-
       // Mask: odd columns inactive — their out slots must stay untouched,
       // active ones must equal the unmasked run exactly.
       std::vector<unsigned char> active(kk);
       for (int j = 0; j < k; ++j) active[j] = (j % 2 == 0) ? 1 : 0;
       std::vector<S> masked(kk, S{-7});
-      blas::dot_cols(xcm.data(), ldk, ycm.data(), ldk, k, n, masked.data(),
-                     active.data(), PanelLayout::kColMajor, PanelLayout::kColMajor);
+      blas::dot_cols(x.data(), ldn, y.data(), ldn, k, n, masked.data(), active.data());
       for (int j = 0; j < k; ++j) {
         if (active[j])
           EXPECT_EQ(static_cast<double>(masked[j]), static_cast<double>(rm[j]));
@@ -359,7 +321,7 @@ void check_dot_cols() {
   }
 }
 
-TEST(DotCols, WidthSweepBitIdenticalAcrossLayouts) {
+TEST(DotCols, WidthSweepMatchesDotPerColumn) {
   check_dot_cols<double, double>();
   check_dot_cols<float, float>();
   check_dot_cols<half, half>();
@@ -388,17 +350,11 @@ void check_nrm2_cols() {
         EXPECT_NEAR(static_cast<double>(rm[j]), static_cast<double>(ref), tol)
             << "n=" << n << " k=" << k << " j=" << j;
       }
-      const auto xcm = interleaved(x, n, k);
-      std::vector<S> cm(kk, S{-1});
-      blas::nrm2_cols(xcm.data(), k, k, n, cm.data(), nullptr, PanelLayout::kColMajor);
-      for (int j = 0; j < k; ++j)
-        EXPECT_EQ(static_cast<double>(cm[j]), static_cast<double>(rm[j]))
-            << "n=" << n << " k=" << k << " j=" << j;
     }
   }
 }
 
-TEST(Nrm2Cols, WidthSweepBitIdenticalAcrossLayouts) {
+TEST(Nrm2Cols, WidthSweepMatchesNrm2PerColumn) {
   check_nrm2_cols<double>();
   check_nrm2_cols<float>();
   check_nrm2_cols<half>();
@@ -426,26 +382,14 @@ void check_axpy_cols() {
         ASSERT_EQ(static_cast<double>(fused[i]), static_cast<double>(ref[i]))
             << "n=" << n << " k=" << k << " i=" << i;
 
-      // Interleaved x and y: bit-identical to the row-major result.
-      const auto xcm = interleaved(x, n, k);
-      auto ycm = interleaved(y0, n, k);
-      blas::axpy_cols(alpha.data(), xcm.data(), k, ycm.data(), k, k, n, nullptr,
-                      nullptr, PanelLayout::kColMajor, PanelLayout::kColMajor);
-      std::vector<TY> back(ycm.size());
-      panel_copy(ycm.data(), k, PanelLayout::kColMajor, back.data(), ldn,
-                 PanelLayout::kRowMajor, k, ldn);
-      for (std::size_t i = 0; i < back.size(); ++i)
-        ASSERT_EQ(static_cast<double>(back[i]), static_cast<double>(fused[i]))
-            << "n=" << n << " k=" << k << " i=" << i;
-
-      // Interleaved x scattering into row-major y through a compaction map
-      // (the compact solvers' x-update shape): columns update ymap[c].
+      // x scattering into y through a compaction map (the compact solvers'
+      // x-update shape): column c updates y column ymap[c].
       if (k >= 3 && n > 0) {
         std::vector<int> ymap(static_cast<std::size_t>(k));
         for (int j = 0; j < k; ++j) ymap[j] = (j + 2) % k;  // a permutation
         std::vector<TY> ys = y0, yr = y0;
-        blas::axpy_cols(alpha.data(), xcm.data(), k, ys.data(), ldn, k, n, nullptr,
-                        ymap.data(), PanelLayout::kColMajor, PanelLayout::kRowMajor);
+        blas::axpy_cols(alpha.data(), x.data(), ldn, ys.data(), ldn, k, n, nullptr,
+                        ymap.data());
         for (int j = 0; j < k; ++j)
           blas::axpy(alpha[j],
                      std::span<const TX>(x.data() + static_cast<std::size_t>(j) * n, n),
@@ -459,7 +403,7 @@ void check_axpy_cols() {
   }
 }
 
-TEST(AxpyCols, WidthSweepBitIdenticalAcrossLayoutsAndMaps) {
+TEST(AxpyCols, WidthSweepBitExactVsChainedAxpyAndMaps) {
   check_axpy_cols<double, double>();
   check_axpy_cols<float, float>();
   check_axpy_cols<half, half>();
@@ -479,24 +423,20 @@ void check_axpby_cols() {
         alpha[j] = static_cast<S>(1.0);
         beta[j] = static_cast<S>(0.25 * (j + 1));
       }
-      std::vector<T> rm = y0;
-      blas::axpby_cols(alpha.data(), x.data(), ldn, beta.data(), rm.data(), ldn, k, n);
-
-      auto ycm = interleaved(y0, n, k);
-      const auto xcm = interleaved(x, n, k);
-      blas::axpby_cols(alpha.data(), xcm.data(), k, beta.data(), ycm.data(), k, k, n,
-                       nullptr, PanelLayout::kColMajor, PanelLayout::kColMajor);
-      std::vector<T> back(ycm.size());
-      panel_copy(ycm.data(), k, PanelLayout::kColMajor, back.data(), ldn,
-                 PanelLayout::kRowMajor, k, ldn);
-      for (std::size_t i = 0; i < back.size(); ++i)
-        ASSERT_EQ(static_cast<double>(back[i]), static_cast<double>(rm[i]))
+      std::vector<T> fused = y0, ref = y0;
+      blas::axpby_cols(alpha.data(), x.data(), ldn, beta.data(), fused.data(), ldn, k, n);
+      for (int j = 0; j < k; ++j)
+        blas::axpby(alpha[j],
+                    std::span<const T>(x.data() + static_cast<std::size_t>(j) * n, n),
+                    beta[j], std::span<T>(ref.data() + static_cast<std::size_t>(j) * n, n));
+      for (std::size_t i = 0; i < fused.size(); ++i)
+        ASSERT_EQ(static_cast<double>(fused[i]), static_cast<double>(ref[i]))
             << "n=" << n << " k=" << k << " i=" << i;
     }
   }
 }
 
-TEST(AxpbyCols, BitIdenticalAcrossLayouts) {
+TEST(AxpbyCols, BitExactVsAxpbyPerColumn) {
   check_axpby_cols<double>();
   check_axpby_cols<float>();
   check_axpby_cols<half>();

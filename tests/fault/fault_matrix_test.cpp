@@ -9,6 +9,7 @@
 // and are the only callers of register_fault_injection().
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -118,6 +119,86 @@ TEST(FaultMatrix, OperatorSiteIsAttributedByTheSolverGuards) {
   EXPECT_EQ(r.status, SolveStatus::kNonFinite);
   EXPECT_FALSE(r.failure.empty());
   EXPECT_LT(r.iterations, 10);  // the guard fires at the poisoned apply, not at budget
+}
+
+/// Batched-operator decorator that corrupts ONE column: on its first
+/// apply_many it overwrites row 0 of output column `col` with `value`; every
+/// other call and column is the exact product.  (FaultyOperator poisons
+/// every column of a batched call, which retires the whole wave.)
+class OneColumnFault final : public Operator<double> {
+ public:
+  OneColumnFault(const CsrMatrix<double>& a, int col, double value)
+      : inner_(a), col_(col), value_(value) {}
+  void apply(std::span<const double> x, std::span<double> y) override { inner_.apply(x, y); }
+  void residual(std::span<const double> b, std::span<const double> x,
+                std::span<double> r) override {
+    inner_.residual(b, x, r);
+  }
+  void apply_many(const double* x, std::ptrdiff_t ldx, double* y, std::ptrdiff_t ldy,
+                  int k) override {
+    inner_.apply_many(x, ldx, y, ldy, k);
+    if (calls_++ == 0 && col_ < k) y[static_cast<std::ptrdiff_t>(col_) * ldy] = value_;
+  }
+  [[nodiscard]] index_t size() const override { return inner_.size(); }
+
+ private:
+  CsrOperator<double, double> inner_;
+  int col_;
+  double value_;
+  int calls_ = 0;
+};
+
+/// Batched CG on the unscaled 12x12 Laplacian, M = I, 4 columns; column 1
+/// has b[0] = 0, so its first search direction p = b is zero at row 0.
+std::vector<SolveResult> batched_cg_with_fault(double value, bool guard_panels) {
+  const auto a = test::laplace2d(12, 12);
+  const std::ptrdiff_t n = a.nrows;
+  const int k = 4;
+  std::vector<double> B(static_cast<std::size_t>(n * k));
+  for (int c = 0; c < k; ++c)
+    for (std::ptrdiff_t i = 0; i < n; ++i)
+      B[static_cast<std::size_t>(c * n + i)] = 1.0 + 0.25 * c + 0.01 * static_cast<double>(i % 7);
+  B[static_cast<std::size_t>(n)] = 0.0;
+  std::vector<double> X(B.size(), 0.0);
+  OneColumnFault op(a, /*col=*/1, value);
+  IdentityPrecond<double> id(a.nrows);
+  CgSolver<double>::Config cfg;
+  cfg.rtol = 1e-8;
+  cfg.max_iters = 500;
+  cfg.guard_panels = guard_panels;
+  CgSolver<double> cg(op, id, cfg);
+  return cg.solve_many(B.data(), n, X.data(), n, k);
+}
+
+// guard_panels only sharpens attribution.  A value that is finite in q but
+// overflows r = r - alpha·q (q[0] = DBL_MAX where p[0] = 0, so p·q stays
+// finite and alpha > 1) makes column 1's residual panel non-finite: the
+// guard names the panel, the unguarded solve names the norm, and the other
+// columns converge either way.
+TEST(FaultMatrix, GuardPanelsAttributesOverflowedColumnToThePanel) {
+  for (const bool guard : {true, false}) {
+    SCOPED_TRACE(guard ? "guard_panels" : "unguarded");
+    const auto rs = batched_cg_with_fault(std::numeric_limits<double>::max(), guard);
+    ASSERT_EQ(rs.size(), 4u);
+    EXPECT_EQ(rs[1].status, SolveStatus::kNonFinite);
+    EXPECT_EQ(rs[1].failure, guard ? "panel" : "rnorm");
+    EXPECT_EQ(rs[1].iterations, 1);
+    for (int c : {0, 2, 3}) {
+      EXPECT_EQ(rs[c].status, SolveStatus::kConverged) << "c=" << c;
+      EXPECT_TRUE(rs[c].converged) << "c=" << c;
+    }
+  }
+}
+
+// A NaN injected into one column of q reaches p·q before it can reach the
+// residual panel, so the pivot check retires that column — guarded or not —
+// and the rest of the batch converges.
+TEST(FaultMatrix, NanInOneBatchedColumnRetiresOnlyThatColumn) {
+  const auto rs = batched_cg_with_fault(std::numeric_limits<double>::quiet_NaN(), true);
+  ASSERT_EQ(rs.size(), 4u);
+  EXPECT_EQ(rs[1].status, SolveStatus::kNonFinite);
+  EXPECT_EQ(rs[1].failure, "pivot");
+  for (int c : {0, 2, 3}) EXPECT_EQ(rs[c].status, SolveStatus::kConverged) << "c=" << c;
 }
 
 TEST(FaultMatrix, PrecisionFilteredFaultOnlyFiresAtItsStorage) {

@@ -111,20 +111,19 @@ TEST_F(Fp16Rows, ResidualMatchesReferenceBitwise) {
 }
 
 TEST_F(Fp16Rows, SpmmMatchesReferenceBitwiseInBothLayouts) {
+  // Row-major panels in and out.  For k > 1 the kernel interleaves X
+  // internally before the row sweep (the "both layouts" of the name: the
+  // caller's row-major X and the kernel's interleaved copy of it), so this
+  // pins that internal path against the per-row reference too.
   const std::ptrdiff_t nc = a.ncols;
   for (int k : {1, 3, 8, 16}) {
     const auto xr = random_vector<float>(static_cast<std::size_t>(nc * k), 9, -2.0, 2.0);
-    std::vector<float> xc(xr.size());  // interleaved copy: (i, c) at i·k + c
-    for (std::ptrdiff_t i = 0; i < nc; ++i)
-      for (int c = 0; c < k; ++c) xc[i * k + c] = xr[c * nc + i];
-    std::vector<float> yr(static_cast<std::size_t>(n) * k), yc(yr.size());
+    std::vector<float> yr(static_cast<std::size_t>(n) * k);
     spmm(a, xr.data(), nc, yr.data(), n, k);
-    spmm(a, xc.data(), k, yc.data(), k, k, PanelLayout::kColMajor, PanelLayout::kColMajor);
     for (int c = 0; c < k; ++c)
       for (index_t i = 0; i < n; ++i) {
         const float ref = reference_row(a, xr.data() + c * nc, i);
-        EXPECT_TRUE(same_bits(yr[c * n + i], ref)) << "row-major k=" << k << " c=" << c << " row " << i;
-        EXPECT_TRUE(same_bits(yc[i * k + c], ref)) << "col-major k=" << k << " c=" << c << " row " << i;
+        EXPECT_TRUE(same_bits(yr[c * n + i], ref)) << "k=" << k << " c=" << c << " row " << i;
       }
   }
 }

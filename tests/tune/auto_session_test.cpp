@@ -152,6 +152,27 @@ TEST(AutoSession, UnparseableDbEntryFallsBackToTuning) {
   EXPECT_NO_THROW(SolverSpec::parse(text)) << "re-tuning must repair the entry";
 }
 
+TEST(AutoSession, DbEntryWithRemovedLayoutOptionIsRetuned) {
+  // A perf-DB written while the batched solvers still took ";layout=" can
+  // carry that option.  It no longer parses, so the entry must take the
+  // reject-and-re-tune path — never fail the solve — and be repaired.
+  tune_db().clear();
+  const auto p =
+      std::make_shared<const PreparedProblem>(prepare_standin("ecology2", -4));
+  tune_db().store(p->fingerprint, "cg;layout=colmajor");
+
+  const TuneResult t = tune(*p, Constraints{}, 1e-8, nullptr);
+  EXPECT_FALSE(t.db_hit);
+  EXPECT_NE(t.log.find("rejected"), std::string::npos) << t.log;
+
+  Session s(p, "auto");
+  EXPECT_TRUE(s.solve().converged);
+  std::string text;
+  ASSERT_TRUE(tune_db().lookup(p->fingerprint, text));
+  EXPECT_EQ(text.find("layout"), std::string::npos) << text;
+  EXPECT_NO_THROW(SolverSpec::parse(text)) << "re-tuning must repair the entry";
+}
+
 TEST(AutoSession, PrecisionPinIsHonored) {
   tune_db().clear();
   const auto p =
